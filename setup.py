@@ -1,8 +1,11 @@
 """Build script: compiles the optional Cython speedup module.
 
-The package is fully functional without the extension (a pure-numpy
-implementation of the same kernels is selected at import time), so a failed
-extension build downgrades to a warning instead of aborting the install.
+With Cython installed the extension is cythonized from `_speedups.pyx`;
+without it setuptools compiles the shipped generated `_speedups.c` in its
+place, so a C compiler and the NumPy headers suffice.  The package is fully
+functional without the extension (a pure-numpy implementation of the same
+kernels is selected at import time), so a failed extension build downgrades
+to a warning instead of aborting the install.
 """
 
 import numpy as np
@@ -43,6 +46,7 @@ try:
 
     ext_modules = cythonize(extensions, compiler_directives={"language_level": "3"})
 except ImportError:  # pragma: no cover
-    ext_modules = []
+    # setuptools replaces the .pyx source by the .c beside it
+    ext_modules = extensions
 
 setup(ext_modules=ext_modules, cmdclass={"build_ext": OptionalBuildExt})

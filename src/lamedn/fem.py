@@ -3,7 +3,8 @@
 Implements the forward machinery used throughout the package: stiffness
 assembly split into parameter-independent subdomain matrices, Dirichlet
 solves with data supported on the accessible boundary patch Sigma, the
-discrete local Dirichlet-to-Neumann (DN) matrix via a Schur complement, the
+discrete local Dirichlet-to-Neumann (DN) matrix as a Schur complement (the
+trailing block of one Sigma-last sparse LU), the
 discrete H^{1/2}(Sigma) Gram matrix and the Gram-whitened operator norm,
 Alessandrini's identity, interior Green functions, and sensitivity kernels.
 
@@ -82,6 +83,7 @@ class MeshCache:
     sigma_nodes: np.ndarray
     boundary_nodes: np.ndarray
     gram_half: np.ndarray  # dense vector Gram on sigma dofs
+    dn_order: np.ndarray   # interior dofs in dissection order, then sigma_dofs
 
     @property
     def num_dofs(self) -> int:
@@ -92,7 +94,44 @@ def _node_dofs(nodes: np.ndarray) -> np.ndarray:
     return (3 * nodes[:, None] + np.arange(3)).ravel()
 
 
+def _interior_node_order(mesh: PartitionedMesh, interior: np.ndarray) -> np.ndarray:
+    """Fill-reducing order of the interior nodes by geometric nested
+    dissection of the tets' node graph: split a node set at the median of its
+    widest coordinate, order the lower part, then the upper part less the
+    separator, then the separator (the upper nodes with a lower neighbour).
+    Sets of at most 16 nodes keep their order."""
+    nv = mesh.num_vertices
+    rows = np.repeat(mesh.tets, 4, axis=1).ravel()
+    cols = np.tile(mesh.tets, (1, 4)).ravel()
+    g = sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(nv, nv)).tocsr()
+    src, dst = g[interior][:, interior].nonzero()
+    x = mesh.vertices[interior]
+
+    def dissect(nodes):
+        if nodes.size <= 16:
+            return nodes
+        pts = x[nodes]
+        axis = np.ptp(pts, axis=0).argmax()
+        low = pts[:, axis] < np.median(pts[:, axis])
+        if not low.any():
+            return nodes
+        is_low = np.zeros(interior.size, dtype=bool)
+        is_low[nodes[low]] = True
+        near = np.zeros(interior.size, dtype=bool)
+        near[dst[is_low[src]]] = True
+        sep = ~low & near[nodes]
+        return np.concatenate([dissect(nodes[low]), dissect(nodes[~low & ~sep]), nodes[sep]])
+
+    return dissect(np.arange(interior.size))
+
+
 def build_cache(mesh: PartitionedMesh) -> MeshCache:
+    sets = mesh.node_sets()
+    interior, sigma, zero = sets["interior"], sets["sigma"], sets["zero"]
+    sigma_dofs = _node_dofs(sigma)
+    dn_order = np.concatenate([
+        _node_dofs(interior[_interior_node_order(mesh, interior)]), sigma_dofs])
+
     vol, grads, blk_lam, blk_mu = backend.stiffness_blocks(mesh.vertices[mesh.tets])
     if (vol <= 1e-14).any():
         raise ValueError("degenerate tet (volume <= 1e-14)")
@@ -111,16 +150,15 @@ def build_cache(mesh: PartitionedMesh) -> MeshCache:
         a_mu.append(sp.coo_matrix(
             (blk_mu[sel].ravel(), (rows[idx], cols[idx])), shape=(ndof, ndof)).tocsr())
 
-    sets = mesh.node_sets()
-    interior, sigma, zero = sets["interior"], sets["sigma"], sets["zero"]
     boundary = np.sort(np.concatenate([sigma, zero]))
     gram = _sigma_gram(mesh, sigma)
     return MeshCache(
         mesh=mesh, vol=vol, grads=grads, a_lam=a_lam, a_mu=a_mu,
         a_lam_total=sum(a_lam[1:], a_lam[0]), a_mu_total=sum(a_mu[1:], a_mu[0]),
-        interior_dofs=_node_dofs(interior), sigma_dofs=_node_dofs(sigma),
+        interior_dofs=_node_dofs(interior), sigma_dofs=sigma_dofs,
         zero_dofs=_node_dofs(zero), boundary_dofs=_node_dofs(boundary),
         sigma_nodes=sigma, boundary_nodes=boundary, gram_half=gram,
+        dn_order=dn_order,
     )
 
 
@@ -293,14 +331,30 @@ class DnMatrix:
 
 def dn_matrix(sys: FemSystem) -> DnMatrix:
     """Schur complement Lambda = K_SS - K_SI K_II^{-1} K_IS over the interior
-    block, after eliminating the zero-constrained boundary dofs."""
+    block, after eliminating the zero-constrained boundary dofs.
+
+    One sparse LU of the free-dof block in `cache.dn_order` (interior dofs in
+    nested-dissection order, Sigma dofs last) without pivoting: its trailing
+    factor blocks give Lambda = L_SS U_SS directly.  Factoring without
+    pivoting requires K_II positive definite, which holds on the admissible
+    set (mu >= alpha0, 2 mu + 3 lambda >= beta0); a nonpositive interior
+    pivot raises ValueError.
+    """
     cache = sys.cache
-    k = sys.stiffness
-    s_idx, i_idx = cache.sigma_dofs, cache.interior_dofs
-    k_ss = k[s_idx][:, s_idx].toarray()
-    k_is = k[i_idx][:, s_idx].toarray()
-    x = sys.factor.solve(k_is)
-    lam = k_ss - k_is.T @ x
+    order = cache.dn_order
+    ni, n = order.size - cache.sigma_dofs.size, order.size
+    # Allocated before the factors: the result then does not pin their freed
+    # heap memory, which otherwise raised the peak RSS of repeated calls.
+    lam = np.empty((n - ni, n - ni))
+    lu = spla.splu(sys.stiffness[order][:, order].tocsc(), permc_spec="NATURAL",
+                   diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    if not (np.array_equal(lu.perm_r, lu.perm_c)
+            and np.array_equal(lu.perm_c[ni:], np.arange(ni, n))):
+        raise ValueError("factorisation permuted unsymmetrically or moved the Sigma block")
+    u = lu.U
+    if not (u.diagonal()[:ni] > 0).all():
+        raise ValueError("interior stiffness block K_II is not positive definite")
+    np.matmul(lu.L[ni:, ni:].toarray(), u[ni:, ni:].toarray(), out=lam)
     return DnMatrix(entries=lam, gram_half=cache.gram_half, r0=sys.mesh.r0,
                     sigma_nodes=cache.sigma_nodes)
 

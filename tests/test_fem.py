@@ -99,6 +99,31 @@ class TestDnMatrix:
         dn2 = dn_matrix(assemble(cache_2x4.mesh, scaled, cache_2x4, warn=False))
         assert np.array_equal(dn2.entries, 2.0 * dn1.entries)
 
+    @pytest.mark.parametrize("name, L", [("cache_1x4", LameVector([1.0], [1.2])),
+                                         ("cache_2x4", L2)])
+    def test_matches_dense_schur_complement(self, request, name, L):
+        cache = request.getfixturevalue(name)
+        sys = assemble(cache.mesh, L, cache)
+        k = sys.stiffness.toarray()
+        s_idx, i_idx = cache.sigma_dofs, cache.interior_dofs
+        k_is = k[np.ix_(i_idx, s_idx)]
+        ref = k[np.ix_(s_idx, s_idx)] - k_is.T @ np.linalg.solve(k[np.ix_(i_idx, i_idx)], k_is)
+        lam = dn_matrix(sys).entries
+        assert np.abs(lam - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("name", ["cache_2x4", "cache_2x8"])
+    def test_order_ends_with_sigma(self, request, name):
+        cache = request.getfixturevalue(name)
+        free = np.concatenate([cache.interior_dofs, cache.sigma_dofs])
+        assert np.array_equal(np.sort(cache.dn_order), np.sort(free))
+        assert np.array_equal(cache.dn_order[-cache.sigma_dofs.size:], cache.sigma_dofs)
+
+    def test_rejects_indefinite_interior_block(self, cache_2x4):
+        sys = assemble(cache_2x4.mesh, LameVector([1.0, 0.8], [-1.0, -1.0]),
+                       cache_2x4, warn=False)
+        with pytest.raises(ValueError, match="positive definite"):
+            dn_matrix(sys)
+
     def test_bilinear_matches_matrix(self, cache_2x4, rng):
         sys = assemble(cache_2x4.mesh, L2, cache_2x4)
         lam = dn_matrix(sys).entries
