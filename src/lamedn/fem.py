@@ -4,9 +4,10 @@ Implements the forward machinery used throughout the package: stiffness
 assembly split into parameter-independent subdomain matrices, Dirichlet
 solves with data supported on the accessible boundary patch Sigma, the
 discrete local Dirichlet-to-Neumann (DN) matrix as a Schur complement (the
-trailing block of one Sigma-last sparse LU), the
-discrete H^{1/2}(Sigma) Gram matrix and the Gram-whitened operator norm,
-Alessandrini's identity, interior Green functions, and sensitivity kernels.
+trailing block of one Sigma-last sparse LU) and its parameter partials from
+that same factor, the discrete H^{1/2}(Sigma) Gram matrix and the
+Gram-whitened operator norm, Alessandrini's identity, interior Green
+functions, and sensitivity kernels.
 
 Element integrals are exact for P1 (constant strain); no quadrature error
 enters the identity checks.  A conical-product Gauss rule on tets is provided
@@ -19,6 +20,7 @@ import csv
 import json
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -39,6 +41,7 @@ __all__ = [
     "solve_dirichlet",
     "solve_with_boundary_values",
     "dn_matrix",
+    "dn_partials",
     "dn_bilinear",
     "dn_operator_norm",
     "alessandrini_residual",
@@ -88,6 +91,23 @@ class MeshCache:
     @property
     def num_dofs(self) -> int:
         return 3 * self.mesh.num_vertices
+
+    @cached_property
+    def dn_blocks(self) -> list:
+        """Per subdomain j: the positions in `dn_order` of the free dofs its
+        tets touch, and A_j^lam, A_j^mu restricted to those dofs.  Built on
+        first use (by `dn_partials`), so meshes whose DN map is never
+        differentiated do not pay for it."""
+        mesh, order = self.mesh, self.dn_order
+        pos = np.full(self.num_dofs, -1)
+        pos[order] = np.arange(order.size)
+        blocks = []
+        for j in range(mesh.N):
+            idx = pos[_node_dofs(np.unique(mesh.tets[mesh.labels == j + 1]))]
+            idx = np.sort(idx[idx >= 0])
+            free = order[idx]
+            blocks.append((idx, self.a_lam[j][free][:, free], self.a_mu[j][free][:, free]))
+        return blocks
 
 
 def _node_dofs(nodes: np.ndarray) -> np.ndarray:
@@ -237,6 +257,7 @@ class FemSystem:
     L: LameVector
     stiffness: sp.csr_matrix
     _factor: object = field(default=None, repr=False, compare=False)
+    _dn_factor: object = field(default=None, repr=False, compare=False)
 
     @property
     def mesh(self) -> PartitionedMesh:
@@ -250,6 +271,31 @@ class FemSystem:
             k_ii = self.stiffness[idx][:, idx].tocsc()
             self._factor = spla.splu(k_ii)
         return self._factor
+
+    @property
+    def dn_factor(self):
+        """Unpivoted sparse LU K_FF = L U of the free-dof block in
+        `cache.dn_order` (interior dofs in nested-dissection order, Sigma
+        dofs last), shared by `dn_matrix` and `dn_partials`.
+
+        Factoring without pivoting requires K_II positive definite, which
+        holds on the admissible set (mu >= alpha0, 2 mu + 3 lambda >= beta0);
+        a nonpositive interior pivot raises ValueError, and so does a
+        factorisation that permutes rows and columns differently or moves
+        the Sigma block.
+        """
+        if self._dn_factor is None:
+            order = self.cache.dn_order
+            ni, n = order.size - self.cache.sigma_dofs.size, order.size
+            lu = spla.splu(self.stiffness[order][:, order].tocsc(), permc_spec="NATURAL",
+                           diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+            if not (np.array_equal(lu.perm_r, lu.perm_c)
+                    and np.array_equal(lu.perm_c[ni:], np.arange(ni, n))):
+                raise ValueError("factorisation permuted unsymmetrically or moved the Sigma block")
+            if not (lu.U.diagonal()[:ni] > 0).all():
+                raise ValueError("interior stiffness block K_II is not positive definite")
+            self._dn_factor = lu
+        return self._dn_factor
 
     def with_parameters(self, L: LameVector) -> "FemSystem":
         return assemble(self.mesh, L, cache=self.cache)
@@ -333,30 +379,51 @@ def dn_matrix(sys: FemSystem) -> DnMatrix:
     """Schur complement Lambda = K_SS - K_SI K_II^{-1} K_IS over the interior
     block, after eliminating the zero-constrained boundary dofs.
 
-    One sparse LU of the free-dof block in `cache.dn_order` (interior dofs in
-    nested-dissection order, Sigma dofs last) without pivoting: its trailing
-    factor blocks give Lambda = L_SS U_SS directly.  Factoring without
-    pivoting requires K_II positive definite, which holds on the admissible
-    set (mu >= alpha0, 2 mu + 3 lambda >= beta0); a nonpositive interior
-    pivot raises ValueError.
+    Read off the trailing factor blocks of `sys.dn_factor`, the unpivoted
+    Sigma-last LU of the free-dof block: Lambda = L_SS U_SS.  Raises
+    ValueError where that factor does (K_II not positive definite).
     """
     cache = sys.cache
-    order = cache.dn_order
-    ni, n = order.size - cache.sigma_dofs.size, order.size
-    # Allocated before the factors: the result then does not pin their freed
-    # heap memory, which otherwise raised the peak RSS of repeated calls.
-    lam = np.empty((n - ni, n - ni))
-    lu = spla.splu(sys.stiffness[order][:, order].tocsc(), permc_spec="NATURAL",
-                   diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-    if not (np.array_equal(lu.perm_r, lu.perm_c)
-            and np.array_equal(lu.perm_c[ni:], np.arange(ni, n))):
-        raise ValueError("factorisation permuted unsymmetrically or moved the Sigma block")
-    u = lu.U
-    if not (u.diagonal()[:ni] > 0).all():
-        raise ValueError("interior stiffness block K_II is not positive definite")
-    np.matmul(lu.L[ni:, ni:].toarray(), u[ni:, ni:].toarray(), out=lam)
+    ns = cache.sigma_dofs.size
+    ni = cache.dn_order.size - ns
+    # Allocated before the factor is built: the result then does not pin its
+    # freed heap memory, which otherwise raised the peak RSS of repeated calls.
+    lam = np.empty((ns, ns))
+    lu = sys.dn_factor
+    np.matmul(lu.L[ni:, ni:].toarray(), lu.U[ni:, ni:].toarray(), out=lam)
     return DnMatrix(entries=lam, gram_half=cache.gram_half, r0=sys.mesh.r0,
                     sigma_nodes=cache.sigma_nodes)
+
+
+def dn_partials(sys: FemSystem) -> list:
+    """The 2N partials J_p = dLambda/dL_p of the DN matrix at sys.L, in the
+    flat ordering (lambda_1..lambda_N, mu_1..mu_N), from the factor that
+    `dn_matrix` reads Lambda off.
+
+    With P = [-K_II^{-1} K_IS; Id] the discrete harmonic prolongation from
+    Sigma traces, J_p = P^T (dK/dL_p) P, where dK/dlambda_j = A_j^lam and
+    dK/dmu_j = 2 A_j^mu: the Schur complement is the energy at the
+    prolongation, and the prolongation's own derivative drops out
+    (stationarity).  P is one solve with `sys.dn_factor`,
+    K_FF P = [0; Lambda], with its Sigma rows then set to Id; the partials of
+    subdomain j use only the rows of P on the free dofs its tets touch
+    (`cache.dn_blocks`).  Each partial is symmetrised.
+    """
+    cache = sys.cache
+    ns = cache.sigma_dofs.size
+    ni = cache.dn_order.size - ns
+    lu = sys.dn_factor
+    rhs = np.zeros((ni + ns, ns))
+    np.matmul(lu.L[ni:, ni:].toarray(), lu.U[ni:, ni:].toarray(), out=rhs[ni:])
+    p = lu.solve(rhs)
+    p[ni:] = np.eye(ns)
+    lams, mus = [], []
+    for idx, a_lam, a_mu in cache.dn_blocks:
+        pj = p[idx]
+        for a, scale, out in ((a_lam, 1.0, lams), (a_mu, 2.0, mus)):
+            j = scale * (pj.T @ (a @ pj))
+            out.append(0.5 * (j + j.T))
+    return lams + mus
 
 
 def dn_bilinear(sys: FemSystem, psi: np.ndarray, phi: np.ndarray) -> float:

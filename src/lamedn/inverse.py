@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DEFAULT_BOX, AdmissibleBox, LameVector, check_admissible
-from .fem import DnMatrix, MeshCache, assemble, build_cache, dn_matrix
+from .core import DEFAULT_BOX, AdmissibleBox, LameVector
+from .fem import DnMatrix, MeshCache, assemble, build_cache, dn_matrix, dn_partials
 from .geometry import PartitionedMesh
 
 __all__ = [
@@ -95,30 +95,12 @@ class Jacobian:
 
 
 def frechet_derivative(ctx: ForwardContext, L: LameVector) -> Jacobian:
-    """Exact parameter Jacobian of the Schur complement.
-
-    With P = [-K_II^{-1} K_IS; Id] the discrete harmonic prolongation from
-    Sigma traces, each partial is J_p = P^T (dK/dL_p) P, where dK/dlambda_j =
-    A_j^lam and dK/dmu_j = 2 A_j^mu; this is the derivative of the DN matrix
-    because the Schur complement is an energy evaluated at the prolongation
-    and the prolongation's own derivative drops out (stationarity).
-    """
-    cache = ctx.cache
-    sys = assemble(ctx.mesh, L, cache)
-    s_idx, i_idx = cache.sigma_dofs, cache.interior_dofs
-    x = sys.factor.solve(sys.stiffness[i_idx][:, s_idx].toarray())
-
-    mats = []
-    for kind in ("lam", "mu"):
-        per = cache.a_lam if kind == "lam" else cache.a_mu
-        scale = 1.0 if kind == "lam" else 2.0
-        for a in per:
-            a_ss = a[s_idx][:, s_idx].toarray()
-            a_is = a[i_idx][:, s_idx].toarray()
-            a_ii_x = a[i_idx][:, i_idx] @ x
-            j = scale * (a_ss - a_is.T @ x - x.T @ a_is + x.T @ a_ii_x)
-            mats.append(0.5 * (j + j.T))
-    return Jacobian(mats=mats, L=L, gram_half=cache.gram_half)
+    """Exact parameter Jacobian of the DN matrix at L: the 2N partials
+    J_p = P^T (dK/dL_p) P of `fem.dn_partials`, with P the discrete harmonic
+    prolongation from Sigma traces, taken from the same single Sigma-last LU
+    that `forward` reads the DN matrix off (one factorisation per call)."""
+    sys = assemble(ctx.mesh, L, ctx.cache)
+    return Jacobian(mats=dn_partials(sys), L=L, gram_half=ctx.cache.gram_half)
 
 
 # ---------------------------------------------------------------------------
@@ -259,35 +241,26 @@ def _project_box(ctx: ForwardContext, arr: np.ndarray) -> np.ndarray:
 
 
 def _project_feasible(ctx: ForwardContext, arr: np.ndarray) -> np.ndarray:
-    """Box clip, then raise each lambda_j to the convexity half-space
-    2 mu_j + 3 lambda_j >= beta0 when needed (increasing lambda preserves the
-    box bound for any sane beta0 <= 3/alpha0)."""
+    """Euclidean projection onto the admissible set, one (lambda_j, mu_j)
+    plane at a time.
+
+    The box clip is the projection onto the box.  Where it breaks the
+    convexity 2 mu_j + 3 lambda_j >= beta0, the nearest admissible point lies
+    on that line (one strictly inside the half-space would be a local, hence
+    global, nearest point of the box), so the point goes to the nearest point
+    of the line's segment alpha0 <= mu_j <= 1/alpha0, along which
+    lambda_j <= (beta0 - 2 alpha0)/3 < 1/alpha0 for every AdmissibleBox.
+    """
+    a0, b0 = ctx.box.alpha0, ctx.box.beta0
+    n = arr.size // 2
     out = _project_box(ctx, arr)
-    n = out.size // 2
-    floor = (ctx.box.beta0 - 2.0 * out[n:]) / 3.0
-    out[:n] = np.maximum(out[:n], floor)
+    bad = 2.0 * out[n:] + 3.0 * out[:n] < b0
+    mu = np.clip((9.0 * arr[n:][bad] + 2.0 * b0 - 6.0 * arr[:n][bad]) / 13.0, a0, 1.0 / a0)
+    lam = (b0 - 2.0 * mu) / 3.0
+    while (low := 2.0 * mu + 3.0 * lam < b0).any():  # rounding, at most a few ulps
+        lam[low] += np.spacing(np.maximum(np.abs(lam[low]), b0))
+    out[:n][bad], out[n:][bad] = lam, mu
     return out
-
-
-def _admissible_point(ctx: ForwardContext, arr: np.ndarray) -> bool:
-    ok, _ = check_admissible(LameVector.from_array(arr), ctx.box)
-    return ok
-
-
-def _project(ctx: ForwardContext, base: np.ndarray, step: np.ndarray) -> np.ndarray:
-    """Clip base+step to the box; if the convexity half-spaces fail, back off
-    along the step until the clipped point is admissible (base must be)."""
-    cand = _project_box(ctx, base + step)
-    if _admissible_point(ctx, cand):
-        return cand
-    lo, hi = 0.0, 1.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if _admissible_point(ctx, _project_box(ctx, base + mid * step)):
-            lo = mid
-        else:
-            hi = mid
-    return _project_box(ctx, base + lo * step)
 
 
 def reconstruct(ctx: ForwardContext, Lambda_obs, L_init: LameVector, opts: dict = None):
@@ -295,8 +268,12 @@ def reconstruct(ctx: ForwardContext, Lambda_obs, L_init: LameVector, opts: dict 
     r(L) = vec(G^{-1/2} (F(L) - Lambda_obs) G^{-1/2}).
 
     Levenberg damping: start 1e-6, x10 on rejected steps, /3 on accepted
-    ones; stops when the step sup-norm falls below tol (default 1e-10) or at
-    max_iters.  Returns (L_hat, trace) where trace records residual norms and
+    ones; every iterate is the Euclidean projection of the step onto the
+    admissible set.  Stops when the step sup-norm falls below tol (default
+    1e-10) or at max_iters.  Each evaluated point is factored once: the
+    Jacobian of an accepted point comes from the factor its DN matrix was
+    read off, and that factor is dropped before the next candidate is
+    factored.  Returns (L_hat, trace) where trace records residual norms and
     parameter iterates; adds parameter errors when opts["truth"] is given.
     """
     opts = dict(opts or {})
@@ -308,15 +285,16 @@ def reconstruct(ctx: ForwardContext, Lambda_obs, L_init: LameVector, opts: dict 
     obs = Lambda_obs.entries if isinstance(Lambda_obs, DnMatrix) else np.asarray(Lambda_obs)
     gih = ctx.g_ihalf
 
-    def residual_vec(L):
-        return (gih @ (forward(ctx, L).entries - obs) @ gih).ravel()
+    def evaluate(arr):
+        sys = assemble(ctx.mesh, LameVector.from_array(arr), ctx.cache)
+        return sys, (gih @ (dn_matrix(sys).entries - obs) @ gih).ravel()
 
-    cur = _project_feasible(ctx, L_init.as_array().copy())
-    r = residual_vec(LameVector.from_array(cur))
+    cur = _project_feasible(ctx, L_init.as_array())
+    sys, r = evaluate(cur)
     trace = [_trace_entry(0, r, cur, truth)]
     for k in range(1, max_iters + 1):
-        jac = frechet_derivative(ctx, LameVector.from_array(cur))
-        a = np.column_stack([(gih @ jp @ gih).ravel() for jp in jac.mats])
+        a = np.column_stack([(gih @ jp @ gih).ravel() for jp in dn_partials(sys)])
+        sys = None  # free this factor before a candidate's is built
         ata = a.T @ a
         atr = a.T @ r
         accepted = False
@@ -326,11 +304,12 @@ def reconstruct(ctx: ForwardContext, Lambda_obs, L_init: LameVector, opts: dict 
             except np.linalg.LinAlgError:
                 damping *= 10.0
                 continue
-            cand = _project(ctx, cur, delta)
-            r_new = residual_vec(LameVector.from_array(cand))
+            cand = _project_feasible(ctx, cur + delta)
+            sys, r_new = evaluate(cand)
             if np.linalg.norm(r_new) < np.linalg.norm(r):
                 accepted = True
                 break
+            sys = None
             damping *= 10.0
             if damping > 1e14:
                 break

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lamedn.core import (
@@ -127,12 +127,15 @@ class TestSigma:
             sigma(-1e-3, 0.5)
 
     @given(st.floats(1e-300, 10.0), st.floats(1e-300, 10.0))
+    @example(1e-300, 1.0000000000000002e-300)
     @settings(max_examples=200, deadline=None)
     def test_strictly_increasing(self, t1, t2):
-        if t1 == t2:
-            return
         lo, hi = sorted((t1, t2))
-        assert sigma(lo, 0.5) < sigma(hi, 0.5)
+        assert sigma(lo, 0.5) <= sigma(hi, 0.5)
+        # adjacent doubles can round to one value (near 1e-300 sigma's slope
+        # is below an ulp); a relative gap of 1e-9 never does
+        if hi >= lo * (1 + 1e-9):
+            assert sigma(lo, 0.5) < sigma(hi, 0.5)
 
     def test_compose_tends_to_zero(self):
         for n in range(1, 6):

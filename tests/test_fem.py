@@ -11,6 +11,7 @@ from lamedn.fem import (
     dn_bilinear,
     dn_matrix,
     dn_operator_norm,
+    dn_partials,
     element_gradients,
     green_function,
     h1_seminorm_error,
@@ -156,6 +157,36 @@ class TestDnMatrix:
             )
             assert res < 1e-12
             assert lhs != 0.0
+
+
+class TestDnPartials:
+    @pytest.mark.parametrize("name, L", [("cache_1x4", LameVector([1.0], [1.2])),
+                                         ("cache_2x4", L2)])
+    def test_matches_dense_reference(self, request, name, L):
+        """J_p = A_SS - A_IS^T X - X^T A_IS + X^T A_II X, X = K_II^{-1} K_IS."""
+        cache = request.getfixturevalue(name)
+        sys = assemble(cache.mesh, L, cache)
+        k = sys.stiffness.toarray()
+        s_idx, i_idx = cache.sigma_dofs, cache.interior_dofs
+        x = np.linalg.solve(k[np.ix_(i_idx, i_idx)], k[np.ix_(i_idx, s_idx)])
+        dks = [a.toarray() for a in cache.a_lam] + [2.0 * a.toarray() for a in cache.a_mu]
+        got = dn_partials(sys)
+        assert len(got) == 2 * L.N
+        for jp, dk in zip(got, dks):
+            a_is = dk[np.ix_(i_idx, s_idx)]
+            ref = (dk[np.ix_(s_idx, s_idx)] - a_is.T @ x - x.T @ a_is
+                   + x.T @ dk[np.ix_(i_idx, i_idx)] @ x)
+            assert np.abs(jp - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("name, L", [("cache_1x4", LameVector([1.0], [1.2])),
+                                         ("cache_2x4", L2)])
+    def test_euler_identity(self, request, name, L):
+        """Lambda is homogeneous of degree one in L: sum_p L_p J_p = Lambda."""
+        cache = request.getfixturevalue(name)
+        sys = assemble(cache.mesh, L, cache)
+        lam = dn_matrix(sys).entries
+        euler = sum(lp * jp for lp, jp in zip(L.as_array(), dn_partials(sys)))
+        assert np.abs(euler - lam).max() <= 1e-12 * np.abs(lam).max()
 
 
 class TestGreenFunction:

@@ -1,14 +1,17 @@
 """Fréchet derivatives, q0 search, Lipschitz probe, projected Gauss-Newton."""
 
 import itertools
+import weakref
 
 import numpy as np
 import pytest
 
-from lamedn.core import DEFAULT_BOX, LameVector, check_admissible, sample_admissible
+from lamedn import fem, inverse
+from lamedn.core import DEFAULT_BOX, AdmissibleBox, LameVector, check_admissible, sample_admissible
+from lamedn.geometry import build_layered_cube
 from lamedn.inverse import (
+    ForwardContext,
     _face_min,
-    _project,
     _project_box,
     _project_feasible,
     _whitened,
@@ -23,6 +26,27 @@ from lamedn.inverse import (
 
 L2 = LameVector([1.0, 0.8], [0.9, 1.2])
 L2B = LameVector([1.1, 0.7], [1.0, 1.1])
+
+
+def count_factorisations(monkeypatch):
+    """Count sparse LU factorisations; each call also records how many
+    FemSystems built through `inverse.assemble` still hold a DN factor."""
+    calls, systems = [], []
+    splu, assemble = fem.spla.splu, inverse.assemble
+
+    def counting_splu(*args, **kwargs):
+        calls.append(sum(1 for ref in systems
+                         if (s := ref()) is not None and s._dn_factor is not None))
+        return splu(*args, **kwargs)
+
+    def recording_assemble(*args, **kwargs):
+        sys = assemble(*args, **kwargs)
+        systems.append(weakref.ref(sys))
+        return sys
+
+    monkeypatch.setattr(fem.spla, "splu", counting_splu)
+    monkeypatch.setattr(inverse, "assemble", recording_assemble)
+    return calls
 
 
 class TestContext:
@@ -105,6 +129,11 @@ class TestFrechetDerivative:
         combo = jac.directional(2.0 * h1 - 0.5 * h2)
         parts = 2.0 * jac.directional(h1) - 0.5 * jac.directional(h2)
         assert np.allclose(combo, parts, atol=1e-13)
+
+    def test_factors_once(self, ctx_2x4, monkeypatch):
+        calls = count_factorisations(monkeypatch)
+        frechet_derivative(ctx_2x4, L2)
+        assert len(calls) == 1
 
 
 class TestQ0:
@@ -194,9 +223,25 @@ class TestProjection:
     def test_step_projection_stays_admissible(self, ctx_2x4):
         base = L2.as_array()
         step = np.array([-50.0, -50.0, 0.0, 0.0])  # crashes through convexity
-        out = _project(ctx_2x4, base, step)
+        out = _project_feasible(ctx_2x4, base + step)
         ok, bad = check_admissible(LameVector.from_array(out), ctx_2x4.box)
         assert ok, bad
+
+    @pytest.mark.parametrize("box", [DEFAULT_BOX, AdmissibleBox(0.3, 1.7), AdmissibleBox(0.9, 0.1)])
+    def test_projection_is_nearest_admissible_point(self, ctx_2x4, box):
+        """p is the projection of x onto the convex polygon of one layer iff
+        (x - p) . (q - p) <= 0 at each of the polygon's vertices q."""
+        ctx = ForwardContext(cache=ctx_2x4.cache, box=box)
+        a0, b0 = box.alpha0, box.beta0
+        corners = np.array([[1 / a0, a0], [1 / a0, 1 / a0],
+                            [(b0 - 2 / a0) / 3, 1 / a0], [(b0 - 2 * a0) / 3, a0]])
+        x = np.random.default_rng(5).uniform(-6.0, 6.0, (2, 500))
+        out = _project_feasible(ctx, x.ravel())
+        ok, bad = check_admissible(LameVector.from_array(out), box)
+        assert ok, bad
+        lam_mu = out.reshape(2, -1).T
+        gap = np.einsum("ni,nqi->nq", x.T - lam_mu, corners[None] - lam_mu[:, None])
+        assert gap.max() <= 1e-12
 
 
 class TestReconstruct:
@@ -228,6 +273,29 @@ class TestReconstruct:
                                    ctx_2x4.box)
         assert ok, bad
         assert np.abs(got.as_array() - L2.as_array()).max() < 1e-6
+
+    def test_factors_once_per_dn_evaluation(self, ctx_2x4, monkeypatch):
+        obs = forward(ctx_2x4, L2)
+        calls = count_factorisations(monkeypatch)
+        dn_calls = []
+        dn_matrix = inverse.dn_matrix
+        monkeypatch.setattr(inverse, "dn_matrix", lambda sys: dn_calls.append(1) or dn_matrix(sys))
+        _, trace = reconstruct(ctx_2x4, obs, L2B, {"max_iters": 20})
+        assert len(trace) > 3
+        assert len(calls) == len(dn_calls)
+        assert max(calls) == 0  # no other factor alive when one is built
+
+    def test_leaves_convexity_boundary(self):
+        """The init violates 2 mu_3 + 3 lambda_3 >= beta0.  Backing off along
+        a step to that line instead of projecting stalls on it: one
+        iteration, sup-norm error 0.28."""
+        ctx = inverse.build_context(build_layered_cube(3, 6))
+        truth = LameVector.from_array([1.98174, 1.424035, -0.626273, 1.348316, 0.650241, 1.460692])
+        init = LameVector.from_array([2.016035, 1.208817, -0.682492, 1.13127, 0.703754, 1.179403])
+        got, trace = reconstruct(ctx, forward(ctx, truth), init, {"max_iters": 30})
+        assert np.abs(got.as_array() - truth.as_array()).max() < 1e-10
+        res = [t["residual"] for t in trace]
+        assert all(b < a for a, b in zip(res, res[1:]))
 
     def test_accepts_raw_matrix_observation(self, ctx_2x4):
         obs = forward(ctx_2x4, L2).entries  # plain ndarray instead of DnMatrix
