@@ -56,7 +56,9 @@ def main():
 
     if _speedups is None:
         raise SystemExit("compiled extension lamedn._speedups is not importable; "
-                         "build it with `pip install -e . --no-build-isolation`")
+                         "build it in place with `python setup.py build_ext --inplace` "
+                         "(or `pip install -e . --no-build-isolation`, which needs "
+                         "`wheel` with setuptools before 70.1)")
 
     print(f"{'kernel / size':<38} {'pure (ms)':>10} {'compiled':>10} {'speedup':>9}")
     print("-" * 70)

@@ -4,6 +4,9 @@ The element-block and batched-kernel routines exist twice: a compiled Cython
 extension (`_speedups`) and a pure-NumPy module (`_ref`).  The compiled one is
 preferred when importable; set LAMEDN_FORCE_PURE=1 to force the NumPy path
 (used by the agreement tests and the benchmark).
+
+`kelvin_batch` now serves `fem.green_function` only: the Kelvin members of
+`ucp` evaluate their single column in closed form.
 """
 
 from __future__ import annotations

@@ -475,23 +475,44 @@ def strain_energy_pairing(cache: MeshCache, dlam, dmu, u1, u2,
     return float(per.sum())
 
 
+def _dn_solution(sys: FemSystem, lam: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """`solve_dirichlet` from the DN factor: with Lambda = dn_matrix(sys),
+    solve K_FF x = [0; Lambda psi] with `sys.dn_factor` in `cache.dn_order`,
+    then set the Sigma rows to psi exactly, as `dn_partials` does for the
+    prolongation.  Returns nodal values (nv, 3)."""
+    cache = sys.cache
+    if psi.shape != (cache.sigma_dofs.size,):
+        raise ValueError("traces must live on the Sigma trace dofs")
+    ni = cache.dn_order.size - cache.sigma_dofs.size
+    rhs = np.zeros(cache.dn_order.size)
+    rhs[ni:] = lam @ psi
+    x = sys.dn_factor.solve(rhs)
+    x[ni:] = psi
+    u = np.zeros(cache.num_dofs)
+    u[cache.dn_order] = x
+    return u.reshape(-1, 3)
+
+
 def alessandrini_residual(mesh: PartitionedMesh, L1: LameVector, L2: LameVector,
                           psi: np.ndarray, phi: np.ndarray,
                           cache: MeshCache = None):
     """Interior integral of (C1 - C2) e(u1):e(u2) against the DN pairing
-    phi^T (Lambda_1 - Lambda_2) psi; returns (lhs, rhs, relative residual)."""
+    phi^T (Lambda_1 - Lambda_2) psi; returns (lhs, rhs, relative residual).
+    Each system is factored once: u1 and u2 come from the DN factor that
+    Lambda_1 and Lambda_2 are read off."""
     if cache is None:
         cache = build_cache(mesh)
+    psi, phi = np.asarray(psi, dtype=float), np.asarray(phi, dtype=float)
     sys1 = assemble(mesh, L1, cache)
     sys2 = assemble(mesh, L2, cache)
-    u1 = solve_dirichlet(sys1, psi)
-    u2 = solve_dirichlet(sys2, phi)
+    d1 = dn_matrix(sys1).entries
+    d2 = dn_matrix(sys2).entries
+    u1 = _dn_solution(sys1, d1, psi)
+    u2 = _dn_solution(sys2, d2, phi)
     dlam = np.array(L1.lambdas) - np.array(L2.lambdas)
     dmu = np.array(L1.mus) - np.array(L2.mus)
     lhs = strain_energy_pairing(cache, dlam, dmu, u1, u2)
-    d1 = dn_matrix(sys1).entries
-    d2 = dn_matrix(sys2).entries
-    rhs = float(np.asarray(phi) @ (d1 - d2) @ np.asarray(psi))
+    rhs = float(phi @ (d1 - d2) @ psi)
     res = abs(lhs - rhs) / max(abs(lhs), abs(rhs), np.finfo(float).eps)
     return lhs, rhs, res
 

@@ -10,6 +10,7 @@ probes on layered meshes.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -64,8 +65,26 @@ class SolutionMember:
         if self.kind == "linear":
             out = pts @ self.matrix.T
         else:
-            from .backend import kelvin_batch
-            out = kelvin_batch(pts, self.source, self.mu, self.nu) @ self.direction
+            # Gamma e = pref [(3 - 4 nu) e / R + r (r . e) / R^3], one column of
+            # the Kelvin matrix; the dot products are explicit component sums.
+            # The column is built in the buffer of r, one component at a time,
+            # so that no further (m, 3) temporaries are allocated.
+            e = self.direction
+            r = pts - self.source
+            r2 = r[:, 0] * r[:, 0] + r[:, 1] * r[:, 1] + r[:, 2] * r[:, 2]
+            if not r2.all():
+                raise ValueError("coincident evaluation and source points")
+            rn = np.sqrt(r2)
+            pref = 1.0 / (16.0 * math.pi * self.mu * (1.0 - self.nu))
+            kappa = 3.0 - 4.0 * self.nu
+            along_r = r[:, 0] * e[0] + r[:, 1] * e[1] + r[:, 2] * e[2]
+            along_r *= pref
+            along_r /= r2 * rn                                # pref (r . e) / R^3
+            along_e = np.divide(pref * kappa, rn, out=rn)     # pref (3 - 4 nu) / R
+            out = r
+            for k in range(3):
+                out[:, k] *= along_r
+                out[:, k] += e[k] * along_e
         return out[0] if np.ndim(x) == 1 else out
 
     def grad(self, x):
@@ -195,49 +214,61 @@ def mixed_ensemble(count, center=(0.0, 0.0, 0.0), radius=1.0, seed=0,
 # Quadratures
 # ---------------------------------------------------------------------------
 
-def _panel_gauss(a, b, order, panels):
-    """Composite Gauss-Legendre nodes/weights: `panels` equal subintervals of
-    [a, b], `order` points each."""
+@functools.lru_cache(maxsize=32)
+def _panel_rule(order, panels):
+    """Composite Gauss-Legendre nodes/weights on [0, 1]: `panels` equal
+    subintervals, `order` points each.  Cached per (order, panels); the
+    arrays are read-only because every caller shares them."""
+    if order < 2 or panels < 1:
+        raise ValueError("order >= 2 and panels >= 1 required")
     x, w = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(a, b, panels + 1)
-    nodes, weights = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        h = 0.5 * (hi - lo)
-        nodes.append(lo + h * (x + 1.0))
-        weights.append(h * w)
-    return np.concatenate(nodes), np.concatenate(weights)
+    edges = np.linspace(0.0, 1.0, panels + 1)
+    h = 0.5 * np.diff(edges)[:, None]
+    nodes = (edges[:-1, None] + h * (x + 1.0)).ravel()
+    weights = (h * w).ravel()
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+@functools.lru_cache(maxsize=32)
+def _unit_ball_rule(order, panels):
+    """Spherical tensor-product rule on the unit ball: the (rho, theta, phi)
+    grid of `_panel_rule` on [0, 1] x [0, pi] x [0, 2 pi], as (m, 3) points
+    and (m,) weights with the Jacobian rho^2 sin(theta) folded in.  Cached
+    and read-only like `_panel_rule`."""
+    t, w = _panel_rule(order, panels)
+    st, ct = np.sin(math.pi * t), np.cos(math.pi * t)
+    cp, sp = np.cos(2.0 * math.pi * t), np.sin(2.0 * math.pi * t)
+    # points[i_r, i_t, i_p, :]
+    rs = t[:, None, None] * st[None, :, None]
+    xyz = np.broadcast_arrays(rs * cp, rs * sp, t[:, None, None] * ct[None, :, None])
+    pts = np.stack(xyz, axis=-1).reshape(-1, 3)
+    wts = ((t ** 2 * w)[:, None, None] * (st * math.pi * w)[None, :, None]
+           * (2.0 * math.pi * w)[None, None, :]).ravel()
+    pts.flags.writeable = wts.flags.writeable = False
+    return pts, wts
 
 
 def ball_l2(u, center, radius, order=6, panels=4) -> float:
     """Squared L2 norm of a (vector) field over a ball.
 
     Spherical tensor-product Gauss: composite Gauss-Legendre of the given
-    order per axis on the (rho, theta, phi) grid decomposition.  The field is
-    called on point batches; any component count is accepted (the squared
-    Euclidean norm of the output is integrated).
+    order per axis on the (rho, theta, phi) grid decomposition.  The unit-ball
+    rule is built once per (order, panels) and mapped to center + radius * x
+    with weights scaled by radius^3.  The field is called on one point batch;
+    any component count is accepted (the squared Euclidean norm of the output
+    is integrated).
     """
-    if order < 2 or panels < 1:
-        raise ValueError("order >= 2 and panels >= 1 required")
     if radius <= 0:
         raise ValueError("radius must be positive")
+    pts, wts = _unit_ball_rule(order, panels)
     if hasattr(u, "check_ball"):
         u.check_ball(center, radius)
     center = np.asarray(center, dtype=float)
-    r_n, r_w = _panel_gauss(0.0, radius, order, panels)
-    t_n, t_w = _panel_gauss(0.0, math.pi, order, panels)
-    p_n, p_w = _panel_gauss(0.0, 2.0 * math.pi, order, panels)
-
-    st, ct = np.sin(t_n), np.cos(t_n)
-    cp, sp = np.cos(p_n), np.sin(p_n)
-    # points[i_r, i_t, i_p, :]
-    x = center[0] + r_n[:, None, None] * st[None, :, None] * cp[None, None, :]
-    y = center[1] + r_n[:, None, None] * st[None, :, None] * sp[None, None, :]
-    z = center[2] + r_n[:, None, None] * ct[None, :, None] + 0.0 * p_n[None, None, :]
-    pts = np.stack([x, y, z], axis=-1).reshape(-1, 3)
-    vals = np.asarray(u(pts), dtype=float).reshape(len(pts), -1)
-    f = (vals ** 2).sum(axis=1).reshape(len(r_n), len(t_n), len(p_n))
-    jac = (r_n ** 2 * r_w)[:, None, None] * (st * t_w)[None, :, None] * p_w[None, None, :]
-    return float((f * jac).sum())
+    x = radius * pts
+    x += center
+    vals = np.asarray(u(x), dtype=float).reshape(len(pts), -1)
+    return float(radius ** 3 * (wts @ (vals * vals)).sum())
 
 
 def cone_l2(u, rho, gamma3, order=6, panels=4) -> float:
@@ -245,23 +276,28 @@ def cone_l2(u, rho, gamma3, order=6, panels=4) -> float:
     half-angle gamma3, cut at depth H rho with H = 1/tan(gamma3).
 
     Coordinates (x3, q, phi) with the cross-section disk of radius
-    |x3| tan(gamma3) scaled to the unit q-interval.
+    |x3| tan(gamma3) scaled to the unit q-interval, each axis on the cached
+    `_panel_rule`.
     """
+    if rho <= 0:
+        raise ValueError("rho must be positive")
+    if not 0.0 < gamma3 < 0.5 * math.pi:
+        raise ValueError("gamma3 must lie in (0, pi/2)")
+    t, w = _panel_rule(order, panels)
     tan3 = math.tan(gamma3)
     depth = rho / tan3
-    z_n, z_w = _panel_gauss(-depth, 0.0, order, panels)
-    q_n, q_w = _panel_gauss(0.0, 1.0, order, panels)
-    p_n, p_w = _panel_gauss(0.0, 2.0 * math.pi, order, panels)
+    z_n, z_w = depth * (t - 1.0), depth * w
+    p_n, p_w = 2.0 * math.pi * t, 2.0 * math.pi * w
 
     rad = np.abs(z_n) * tan3                         # disk radius per slice
-    rr = rad[:, None] * q_n[None, :]                  # (z, q)
+    rr = rad[:, None] * t[None, :]                    # (z, q)
     x = rr[:, :, None] * np.cos(p_n)[None, None, :]
     y = rr[:, :, None] * np.sin(p_n)[None, None, :]
     z = np.broadcast_to(z_n[:, None, None], x.shape)
     pts = np.stack([x, y, z], axis=-1).reshape(-1, 3)
     vals = np.asarray(u(pts), dtype=float).reshape(len(pts), -1)
-    f = (vals ** 2).sum(axis=1).reshape(len(z_n), len(q_n), len(p_n))
-    jac = (rad ** 2 * z_w)[:, None, None] * (q_n * q_w)[None, :, None] * p_w[None, None, :]
+    f = (vals ** 2).sum(axis=1).reshape(t.size, t.size, t.size)
+    jac = (rad ** 2 * z_w)[:, None, None] * (t * w)[None, :, None] * p_w[None, None, :]
     return float((f * jac).sum())
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from lamedn import fem
 from lamedn.core import LameVector, sample_admissible
 from lamedn.fem import (
     alessandrini_residual,
@@ -157,6 +158,32 @@ class TestDnMatrix:
             )
             assert res < 1e-12
             assert lhs != 0.0
+
+    @pytest.mark.parametrize("name", ["cache_2x4", "cache_2x8"])
+    def test_interior_identity_factors_each_system_once(self, request, name,
+                                                        rng, monkeypatch):
+        """u1, u2 come from the DN factors: one splu per system, two a call."""
+        cache = request.getfixturevalue(name)
+        calls = []
+        splu = fem.spla.splu
+
+        def counting_splu(*args, **kwargs):
+            calls.append(1)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(fem.spla, "splu", counting_splu)
+        for k in range(3):
+            psi = random_sigma_trace(cache, rng)
+            phi = random_sigma_trace(cache, rng)
+            l1, l2 = sample_admissible(2, rng=rng), sample_admissible(2, rng=rng)
+            _, _, res = alessandrini_residual(cache.mesh, l1, l2, psi, phi, cache)
+            assert len(calls) == 2 * (k + 1)
+            assert res < 1e-12
+
+    def test_interior_identity_rejects_foreign_traces(self, cache_2x4, rng):
+        psi = random_sigma_trace(cache_2x4, rng)
+        with pytest.raises(ValueError, match="Sigma"):
+            alessandrini_residual(cache_2x4.mesh, L2, L2B, psi[:-1], psi, cache_2x4)
 
 
 class TestDnPartials:

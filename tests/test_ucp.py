@@ -6,9 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from lamedn import ucp
 from lamedn.core import DEFAULT_BOX, LameVector, poisson_bounds
 from lamedn.geometry import build_cone_chain, build_layered_cube, eta_r
-from lamedn.kernels import kelvin_gradient
+from lamedn.kernels import kelvin_gradient, kelvin_matrix
 from lamedn.ucp import (
     SolutionEnsemble,
     SolutionMember,
@@ -75,6 +76,19 @@ class TestEnsembles:
             assert np.array_equal(vals[i], m(p))
             assert np.array_equal(grads[i], m.grad(p))
 
+    def test_kelvin_column_matches_kelvin_matrix(self):
+        ens = kelvin_ensemble(6, seed=12, randomize_moduli=True)
+        pts = np.random.default_rng(3).uniform(-1.0, 1.0, (40, 3))
+        for m in ens:
+            want = np.array([kelvin_matrix(x, m.source, m.mu, m.nu) @ m.direction
+                             for x in pts])
+            assert np.abs(m(pts) - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_kelvin_rejects_source_point(self):
+        m = kelvin_ensemble(1, seed=9).members[0]
+        with pytest.raises(ValueError, match="coincident"):
+            m(np.vstack([np.zeros(3), m.source]))
+
     def test_kelvin_grad_is_exact(self):
         m = kelvin_ensemble(1, seed=4).members[0]
         x = np.array([0.3, -0.1, 0.2])
@@ -136,6 +150,75 @@ class TestQuadratures:
         got = cone_l2(_const_field, rho, GAMMA3)
         want = math.pi * rho**3 / (3.0 * math.tan(GAMMA3))
         assert got == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("kwargs", [{"order": 1}, {"order": 0}, {"panels": 0}])
+    def test_cone_rejects_bad_rule(self, kwargs):
+        with pytest.raises(ValueError, match="order >= 2"):
+            cone_l2(_const_field, 0.8, GAMMA3, **kwargs)
+
+    @pytest.mark.parametrize("rho, gamma3", [(0.0, GAMMA3), (-0.5, GAMMA3),
+                                             (0.8, 0.0), (0.8, -0.1),
+                                             (0.8, 0.5 * math.pi), (0.8, 2.0)])
+    def test_cone_rejects_bad_geometry(self, rho, gamma3):
+        with pytest.raises(ValueError):
+            cone_l2(_const_field, rho, gamma3)
+
+    @staticmethod
+    def _tensor_product_reference(m, center, radius, order, panels):
+        """The spherical tensor-product Gauss rule built per call, with the
+        field taken from kelvin_matrix at each node."""
+        def panel(a, b):
+            x, w = np.polynomial.legendre.leggauss(order)
+            edges = np.linspace(a, b, panels + 1)
+            h = 0.5 * np.diff(edges)
+            return (np.concatenate([lo + hh * (x + 1.0) for lo, hh in zip(edges[:-1], h)]),
+                    np.concatenate([hh * w for hh in h]))
+        total = 0.0
+        for rr, rw in zip(*panel(0.0, radius)):
+            for t, tw in zip(*panel(0.0, math.pi)):
+                for p, pw in zip(*panel(0.0, 2.0 * math.pi)):
+                    x = center + rr * np.array([math.sin(t) * math.cos(p),
+                                                math.sin(t) * math.sin(p), math.cos(t)])
+                    v = kelvin_matrix(x, m.source, m.mu, m.nu) @ m.direction
+                    total += (v @ v) * rr**2 * rw * math.sin(t) * tw * pw
+        return total
+
+    @pytest.mark.parametrize("center, radius, randomize", [
+        ((0.0, 0.0, 0.0), 0.7, False),
+        ((0.3, -0.2, 0.5), 0.6, True),
+    ])
+    def test_ball_kelvin_matches_tensor_product_reference(self, center, radius,
+                                                          randomize):
+        ens = kelvin_ensemble(3, center=center, radius=1.0, seed=21,
+                              randomize_moduli=randomize)
+        for m in ens:
+            got = ball_l2(m, ens.center, radius, order=3, panels=2)
+            want = self._tensor_product_reference(m, ens.center, radius, 3, 2)
+            assert got == pytest.approx(want, rel=1e-13)
+
+    def test_rule_built_once_per_order_and_panels(self, monkeypatch):
+        calls = []
+        leggauss = np.polynomial.legendre.leggauss
+
+        def counting_leggauss(deg):
+            calls.append(deg)
+            return leggauss(deg)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting_leggauss)
+        ucp._panel_rule.cache_clear()
+        ucp._unit_ball_rule.cache_clear()
+        m = kelvin_ensemble(1, seed=6).members[0]
+        for _ in range(3):
+            for order, panels in ((6, 4), (3, 2)):
+                ball_l2(m, (0.0, 0.0, 0.0), 0.5, order, panels)
+                ball_l2(_const_field, (0.1, 0.0, 0.0), 1.0, order, panels)
+                cone_l2(_const_field, 0.8, GAMMA3, order, panels)
+        assert sorted(calls) == [3, 6]
+        for order, panels in ((6, 4), (3, 2)):
+            for arr in ucp._panel_rule(order, panels) + ucp._unit_ball_rule(order, panels):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0] = 0.0
 
 
 class TestThreeSphereFit:
