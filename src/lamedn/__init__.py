@@ -4,91 +4,33 @@ Forward FEM modelling of the local Dirichlet-to-Neumann map of a layered
 isotropic body, exact parameter derivatives, closed-form half-space and
 bimaterial kernels, Gauss-Newton reconstruction, and empirical probes of the
 stability and unique-continuation machinery behind the inversion.
+
+The names each submodule lists in its `__all__` are importable from the
+package root.  Submodules load on first use (PEP 562), so `import
+lamedn.cli` loads no NumPy before the CLI has capped the BLAS threads.
 """
 
-from .backend import BACKEND
-from .core import (
-    DEFAULT_BOX,
-    AdmissibleBox,
-    IsotropicTensor,
-    LameVector,
-    SigmaModulus,
-    check_admissible,
-    poisson_bounds,
-    poisson_ratio,
-    propbv_constant,
-    sample_admissible,
-    sigma,
-    sigma_compose,
-    sigma_inverse,
-)
-from .geometry import (
-    ConeChain,
-    PartitionedMesh,
-    build_cone_chain,
-    build_layered_cube,
-    eta_r,
-    load_mesh,
-    nesting_margins,
-    rho1,
-    save_mesh,
-    tau_r,
-    validate_mesh,
-    walkway_h0,
-)
-from .kernels import (
-    AxisSource,
-    BiphaseParams,
-    dgamma33_dt,
-    f1_alpha,
-    f2_gamma,
-    gamma33_ondiag_difference,
-    gamma_e3_upper,
-    kelvin_gradient,
-    kelvin_matrix,
-    lame_lambda,
-)
-from .fem import (
-    DnMatrix,
-    FemSystem,
-    MeshCache,
-    alessandrini_residual,
-    assemble,
-    build_cache,
-    dn_bilinear,
-    dn_matrix,
-    dn_operator_norm,
-    green_function,
-    h1_seminorm_error,
-    sensitivity_identity_check,
-    sensitivity_kernel,
-    solve_dirichlet,
-)
-from .inverse import (
-    ForwardContext,
-    Jacobian,
-    build_context,
-    forward,
-    frechet_derivative,
-    lipschitz_probe,
-    q0_estimate,
-    reconstruct,
-    star_norm,
-)
-from .ucp import (
-    SolutionEnsemble,
-    SolutionMember,
-    ball_l2,
-    caccioppoli_check,
-    cone_l2,
-    cone_propagation_experiment,
-    interface_chain_experiment,
-    kelvin_ensemble,
-    linear_ensemble,
-    mixed_ensemble,
-    three_sphere_fit,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Submodules whose `__all__` the package root re-exports.
+_SUBMODULES = ("core", "geometry", "kernels", "fem", "inverse", "ucp")
+
+
+def _exports():
+    """{exported name: submodule}, importing every submodule."""
+    return {name: sub for sub in _SUBMODULES
+            for name in importlib.import_module(f".{sub}", __name__).__all__}
+
+
+def __getattr__(name):
+    # Named submodules load alone: `from lamedn import cli` imports no NumPy.
+    if name in (*_SUBMODULES, "backend", "cli"):
+        return importlib.import_module(f".{name}", __name__)
+    if name == "__all__":
+        return [*_SUBMODULES, *_exports()]
+    sub = _exports().get(name)
+    if sub is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{sub}", __name__), name)

@@ -459,13 +459,18 @@ def main(argv=None) -> int:
     parser.add_argument("--config", default=None, help="JSON config path")
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
     parser.add_argument("--out", default=None, help="output file path")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="cap on BLAS/OpenMP threads")
+    parser.add_argument("--threads", type=int, default=None,
+                        help="cap on BLAS/OpenMP threads (default: the "
+                             "environment's setting, else 1)")
     args = parser.parse_args(argv)
 
+    # Takes effect only before NumPy loads; the package root imports none.
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, str(max(1, args.threads)))
+        if args.threads is None:
+            os.environ.setdefault(var, "1")
+        else:
+            os.environ[var] = str(max(1, args.threads))
 
     try:
         cfg = load_config(args.config, args.seed)

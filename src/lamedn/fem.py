@@ -566,7 +566,8 @@ def _green_clearance_check(cache: MeshCache, y: np.ndarray, label: int):
 
 def green_function(sys: FemSystem, y, l) -> GreenField:
     """Green column for the source point y and direction l: G = Gamma + w,
-    where Gamma is the Kelvin solution of the constant tensor at y and the
+    where Gamma is the Kelvin column Gamma(., y) l of the constant tensor at
+    y, evaluated at the vertices by `backend.kelvin_batch`, and the
     correction w solves a_C(w, phi) = ((C_y - C) grad^ Gamma_h, grad^ phi)
     with w = -Gamma_h on the whole boundary.
 
@@ -583,7 +584,7 @@ def green_function(sys: FemSystem, y, l) -> GreenField:
 
     lam_y, mu_y = sys.L.lambdas[label - 1], sys.L.mus[label - 1]
     nu_y = poisson_ratio(lam_y, mu_y)
-    gamma = np.einsum("nij,j->ni", backend.kelvin_batch(sys.mesh.vertices, y, mu_y, nu_y), l)
+    gamma = backend.kelvin_batch(sys.mesh.vertices, y, mu_y, nu_y, l)
     gflat = gamma.reshape(-1)
 
     k_y = lam_y * cache.a_lam_total + 2.0 * mu_y * cache.a_mu_total

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize_scalar
 
+from . import backend
 from .core import DEFAULT_BOX, LameVector, sample_admissible
 from .geometry import ConeChain, PartitionedMesh, eta_r
 
@@ -46,7 +47,8 @@ __all__ = [
 class SolutionMember:
     """One exact solution of the constant-coefficient system.
 
-    kind "kelvin": u(x) = Gamma(x; source) @ direction with moduli (mu, nu);
+    kind "kelvin": u(x) = Gamma(x; source) @ direction with moduli (mu, nu),
+    evaluated as one Kelvin column by `backend.kelvin_batch`;
     kind "linear": u(x) = matrix @ x (harmonic and divergence-affine, hence an
     exact solution for any moduli).  Both accept single points or (m, 3)
     batches.
@@ -65,26 +67,7 @@ class SolutionMember:
         if self.kind == "linear":
             out = pts @ self.matrix.T
         else:
-            # Gamma e = pref [(3 - 4 nu) e / R + r (r . e) / R^3], one column of
-            # the Kelvin matrix; the dot products are explicit component sums.
-            # The column is built in the buffer of r, one component at a time,
-            # so that no further (m, 3) temporaries are allocated.
-            e = self.direction
-            r = pts - self.source
-            r2 = r[:, 0] * r[:, 0] + r[:, 1] * r[:, 1] + r[:, 2] * r[:, 2]
-            if not r2.all():
-                raise ValueError("coincident evaluation and source points")
-            rn = np.sqrt(r2)
-            pref = 1.0 / (16.0 * math.pi * self.mu * (1.0 - self.nu))
-            kappa = 3.0 - 4.0 * self.nu
-            along_r = r[:, 0] * e[0] + r[:, 1] * e[1] + r[:, 2] * e[2]
-            along_r *= pref
-            along_r /= r2 * rn                                # pref (r . e) / R^3
-            along_e = np.divide(pref * kappa, rn, out=rn)     # pref (3 - 4 nu) / R
-            out = r
-            for k in range(3):
-                out[:, k] *= along_r
-                out[:, k] += e[k] * along_e
+            out = backend.kelvin_batch(pts, self.source, self.mu, self.nu, self.direction)
         return out[0] if np.ndim(x) == 1 else out
 
     def grad(self, x):

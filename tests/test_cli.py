@@ -1,10 +1,16 @@
 """Command-line interface: exit codes, determinism, schemas, file outputs."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lamedn
 from lamedn.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -181,3 +187,51 @@ class TestChecksAndReports:
         assert ts.exists() and cone.exists()
         assert ts.read_text().splitlines()[0] == "member_id,r1_int,r2_int,r3_int"
         assert cone.read_text().splitlines()[0] == "member_id,eps,E,value,C_impl"
+
+
+class TestThreads:
+    """The BLAS cap only works if it is set before NumPy loads."""
+
+    @staticmethod
+    def _python(code, **env):
+        src = str(Path(lamedn.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                              env=dict(os.environ, PYTHONPATH=path, **env),
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()
+
+    # Records OPENBLAS_NUM_THREADS at the moment NumPy is first imported.
+    SPY = """
+        import os, sys
+        seen = []
+        class Spy:
+            def find_spec(self, name, path=None, target=None):
+                if name == "numpy" and not seen:
+                    seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+        sys.meta_path.insert(0, Spy())
+        from lamedn.cli import main
+        """
+
+    def test_cli_import_loads_no_numpy(self):
+        out = self._python("""
+            import sys
+            import lamedn.cli
+            print("numpy" in sys.modules, "scipy" in sys.modules)
+            """)
+        assert out == ["False", "False"]
+
+    def test_explicit_threads_overrides_environment(self, tmp_path):
+        out = self._python(self.SPY + f"""
+        assert main(["forward", "--threads", "1", "--out", {str(tmp_path / "o.json")!r}]) == 0
+        print(seen[0], os.environ["OPENBLAS_NUM_THREADS"])
+        """, OPENBLAS_NUM_THREADS="2")
+        assert out == ["1", "1"]
+
+    def test_default_keeps_environment(self, tmp_path):
+        out = self._python(self.SPY + f"""
+        assert main(["forward", "--out", {str(tmp_path / "o.json")!r}]) == 0
+        print(seen[0], os.environ["OPENBLAS_NUM_THREADS"])
+        """, OPENBLAS_NUM_THREADS="2")
+        assert out == ["2", "2"]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lamedn import fem
-from lamedn.core import LameVector, sample_admissible
+from lamedn.core import LameVector, poisson_ratio, sample_admissible
 from lamedn.fem import (
     alessandrini_residual,
     assemble,
@@ -28,6 +28,7 @@ from lamedn.fem import (
     tet_quadrature,
 )
 from lamedn.geometry import build_layered_cube
+from lamedn.kernels import kelvin_matrix
 
 L2 = LameVector([1.0, 0.8], [0.9, 1.2])
 L2B = LameVector([1.1, 0.7], [1.0, 1.1])
@@ -253,6 +254,18 @@ class TestGreenFunction:
         b = green_function(sys, self.Y, np.array([0.0, 1.0, 0.0]))
         assert np.array_equal(a.values, b.values)
 
+    @pytest.mark.parametrize("l, vec", [(2, (0.0, 0.0, 1.0)),
+                                        ((0.3, -1.2, 0.5), (0.3, -1.2, 0.5))])
+    def test_gamma_is_kelvin_column(self, cache_2x8, l, vec):
+        sys = assemble(cache_2x8.mesh, L2, cache_2x8)
+        g = green_function(sys, self.Y, l)
+        lam, mu = L2.lambdas[g.label - 1], L2.mus[g.label - 1]
+        nu = poisson_ratio(lam, mu)
+        want = np.array([kelvin_matrix(x, self.Y, mu, nu) @ vec
+                         for x in cache_2x8.mesh.vertices])
+        err = np.linalg.norm(g.gamma - want, axis=1)
+        assert (err <= 1e-14 * np.linalg.norm(want, axis=1)).all()
+
     def test_sensitivity_identity(self, cache_2x8):
         _, _, gap = sensitivity_identity_check(
             cache_2x8.mesh, L2, L2B, self.Y, [0.5625, 0.5625, 0.75], cache_2x8
@@ -318,7 +331,6 @@ class TestFileFormats:
 def test_convergence_under_refinement():
     # one coarse/fine pair of the full H1 study; the slope test lives in the
     # acceptance suite
-    from lamedn.core import poisson_ratio
     from lamedn import backend
 
     lam, mu = 1.0, 1.0
@@ -329,7 +341,7 @@ def test_convergence_under_refinement():
         mesh = build_layered_cube(1, n)
         cache = build_cache(mesh)
         sys = assemble(mesh, LameVector([lam], [mu]), cache)
-        g = backend.kelvin_batch(mesh.vertices, y, mu, nu)[:, :, 2]
+        g = backend.kelvin_batch(mesh.vertices, y, mu, nu, np.eye(3)[2])
         u = solve_with_boundary_values(sys, g)
         from lamedn.kernels import kelvin_gradient
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lamedn import backend
 from lamedn.kernels import (
     AxisSource,
     BiphaseParams,
@@ -87,6 +88,11 @@ class TestKelvin:
             kelvin_matrix((1.0, 2.0, 3.0), (1.0, 2.0, 3.0), 1.0, 0.25)
         with pytest.raises(ValueError):
             kelvin_gradient((1.0, 2.0, 3.0), (1.0, 2.0, 3.0), 1.0, 0.25)
+
+    def test_kelvin_batch_rejects_coincident(self):
+        pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="coincident"):
+            backend.kelvin_batch(pts, (0.0, 0.0, 0.0), 1.0, 0.25, E3)
 
     def test_gradient_matches_finite_differences(self):
         x, y = np.array([0.4, 0.1, 0.9]), np.array([-0.2, 0.3, 0.1])
