@@ -1,13 +1,15 @@
 """P1 tetrahedral FEM for piecewise-constant isotropic elasticity.
 
 Implements the forward machinery used throughout the package: stiffness
-assembly split into parameter-independent subdomain matrices, Dirichlet
-solves with data supported on the accessible boundary patch Sigma, the
-discrete local Dirichlet-to-Neumann (DN) matrix as a Schur complement (the
-trailing block of one Sigma-last sparse LU) and its parameter partials from
-that same factor, the discrete H^{1/2}(Sigma) Gram matrix and the
-Gram-whitened operator norm, Alessandrini's identity, interior Green
-functions, and sensitivity kernels.
+assembly split into parameter-independent subdomain matrices, one
+multifrontal Cholesky factorisation per parameter vector on the
+nested-dissection tree of the free dofs (interior dofs first, the dofs on
+the accessible boundary patch Sigma last), and from that one factor the
+discrete local Dirichlet-to-Neumann (DN) matrix as a Schur complement, its
+parameter partials, and every interior solve: Dirichlet solves with data on
+Sigma or on the whole boundary and interior Green functions.  Also the
+discrete H^{1/2}(Sigma) Gram matrix and the Gram-whitened operator norm,
+Alessandrini's identity, and sensitivity kernels.
 
 Element integrals are exact for P1 (constant strain); no quadrature error
 enters the identity checks.  A conical-product Gauss rule on tets is provided
@@ -24,7 +26,9 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+# Unused here; the benchmark's tracer (perfbench/spans.py) patches `fem.spla`.
+import scipy.sparse.linalg as spla  # noqa: F401
+from scipy.linalg import blas, lapack
 from scipy.special import roots_jacobi, roots_legendre
 
 from . import backend
@@ -68,17 +72,54 @@ GRAM_LABEL = "spectral-half"
 # ---------------------------------------------------------------------------
 
 @dataclass
+class FrontPlan:
+    """Symbolic multifrontal analysis of the free-dof block K_FF in
+    `MeshCache.dn_order`, built once per mesh on the nested-dissection tree.
+
+    Fronts are numbered in postorder, children before their parent.  Front f
+    eliminates the dof positions start[f]:stop[f] of `dn_order`, one
+    dissection leaf or separator; `update[f]` holds, sorted, the later
+    positions its subtree couples to.  Its dense front is indexed by its
+    pivots and then its update set; `moves[c]` adds child c's update matrix
+    into its parent's front.  The last front is the Sigma block: it has no
+    update set and is not factored; the DN matrix is assembled in it.
+
+    A factor is one flat array: for each front, from offset[f], its pivot
+    block (p x p) and then its update rows (u x p), both column-major.  The
+    K_FF entries of those blocks (lower triangle) come from the subdomain
+    splits: entry i of `fill_lam` and `fill_mu` is added at `fill_dest[i]`,
+    and the first fill_counts[0] entries come from subdomain 1, and so on.
+    """
+
+    start: np.ndarray
+    stop: np.ndarray
+    offset: np.ndarray
+    update: list
+    children: list
+    moves: list
+    fill_dest: np.ndarray
+    fill_lam: np.ndarray
+    fill_mu: np.ndarray
+    fill_counts: np.ndarray
+
+    def blocks(self, store: np.ndarray, f: int):
+        """Views of front f's pivot block and update rows in a factor."""
+        p, u = self.stop[f] - self.start[f], self.update[f].size
+        o = self.offset[f]
+        return (store[o:o + p * p].reshape(p, p, order="F"),
+                store[o + p * p:self.offset[f + 1]].reshape(u, p, order="F"))
+
+
+@dataclass
 class MeshCache:
     """Per-mesh data reused across parameter vectors: subdomain stiffness
-    splits, dof partition, and the Sigma Gram matrix."""
+    splits, dof partition, the multifrontal plan and the Sigma Gram matrix."""
 
     mesh: PartitionedMesh
     vol: np.ndarray
     grads: np.ndarray
     a_lam: list          # per-subdomain csr, int div phi_p div phi_q
     a_mu: list           # per-subdomain csr, int sym-grad : sym-grad
-    a_lam_total: sp.csr_matrix
-    a_mu_total: sp.csr_matrix
     interior_dofs: np.ndarray
     sigma_dofs: np.ndarray
     zero_dofs: np.ndarray
@@ -87,6 +128,7 @@ class MeshCache:
     boundary_nodes: np.ndarray
     gram_half: np.ndarray  # dense vector Gram on sigma dofs
     dn_order: np.ndarray   # interior dofs in dissection order, then sigma_dofs
+    fronts: FrontPlan      # multifrontal plan on the dissection tree of dn_order
 
     @property
     def num_dofs(self) -> int:
@@ -114,43 +156,178 @@ def _node_dofs(nodes: np.ndarray) -> np.ndarray:
     return (3 * nodes[:, None] + np.arange(3)).ravel()
 
 
-def _interior_node_order(mesh: PartitionedMesh, interior: np.ndarray) -> np.ndarray:
-    """Fill-reducing order of the interior nodes by geometric nested
-    dissection of the tets' node graph: split a node set at the median of its
-    widest coordinate, order the lower part, then the upper part less the
-    separator, then the separator (the upper nodes with a lower neighbour).
-    Sets of at most 16 nodes keep their order."""
+def _front_plan(mesh: PartitionedMesh, interior: np.ndarray, sigma: np.ndarray,
+                a_lam: list, a_mu: list):
+    """Free nodes in dissection order (interior, then `sigma`) and the
+    `FrontPlan` on the dissection tree.
+
+    Geometric nested dissection of the tets' node graph: split a node set at
+    the median of its widest coordinate, order the lower part, then the upper
+    part less the separator, then the separator (the upper nodes with a lower
+    neighbour).  Sets of at most 16 nodes keep their order.  Every leaf and
+    every nonempty separator is a front.  The lower part and the rest of the
+    upper part share no edge, so a subtree couples only to the separators
+    above it and to Sigma: a front's update set is its pivots' later
+    neighbours together with its children's update sets.
+    """
+    # The node graph, read off the subdomain splits (all at once): every
+    # element couples all three dofs of its nodes, so each row 3i + a of a
+    # split holds the same 3 x 3 node blocks in column order, and a node pair
+    # (i, k) at offset o of row 3i holds entry (3i + a, 3k + b) at
+    # o + a * (row length) + b.  A pair on an interface occurs once per side.
     nv = mesh.num_vertices
-    rows = np.repeat(mesh.tets, 4, axis=1).ravel()
-    cols = np.tile(mesh.tets, (1, 4)).ravel()
-    g = sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(nv, nv)).tocsr()
-    src, dst = g[interior][:, interior].nonzero()
+    nnz = np.cumsum([0] + [a.nnz for a in a_lam])
+    deg = np.concatenate([(a.indptr[1::3] - a.indptr[:-1:3]) // 3 for a in a_lam])
+    first = np.cumsum(deg) - deg
+    row0 = np.concatenate([a.indptr[:-1:3] + o for a, o in zip(a_lam, nnz)])
+    off = np.repeat(row0 - 3 * first, deg) + 3 * np.arange(first[-1] + deg[-1])
+    rows = np.repeat(np.tile(np.arange(nv), len(a_lam)), deg)
+    cols = np.concatenate([a.indices for a in a_lam])[off] // 3
+
+    local = np.full(nv, -1)
+    local[interior] = np.arange(interior.size)
+    src, dst = local[rows], local[cols]
+    inner = (src >= 0) & (dst >= 0)
     x = mesh.vertices[interior]
+    pivots, children = [], []
 
-    def dissect(nodes):
-        if nodes.size <= 16:
-            return nodes
-        pts = x[nodes]
-        axis = np.ptp(pts, axis=0).argmax()
-        low = pts[:, axis] < np.median(pts[:, axis])
-        if not low.any():
-            return nodes
-        is_low = np.zeros(interior.size, dtype=bool)
-        is_low[nodes[low]] = True
-        near = np.zeros(interior.size, dtype=bool)
-        near[dst[is_low[src]]] = True
-        sep = ~low & near[nodes]
-        return np.concatenate([dissect(nodes[low]), dissect(nodes[~low & ~sep]), nodes[sep]])
+    def front(nodes, kids):
+        pivots.append(nodes)
+        children.append(kids)
+        return [len(pivots) - 1]
 
-    return dissect(np.arange(interior.size))
+    def dissect(nodes, src, dst):
+        """Append the fronts of `nodes` in postorder; return the top ones.
+        (src, dst) are the node pairs with src in `nodes`."""
+        if nodes.size > 16:
+            pts = x[nodes]
+            axis = np.ptp(pts, axis=0).argmax()
+            low = pts[:, axis] < np.median(pts[:, axis])
+            if low.any():
+                side = np.zeros(interior.size, dtype=np.int8)
+                side[nodes[low]] = 1
+                near = np.zeros(interior.size, dtype=bool)
+                near[dst[side[src] == 1]] = True
+                sep = ~low & near[nodes]
+                side[nodes[~low & ~sep]] = 2
+                kids = []
+                for s in (1, 2):
+                    at = side[src] == s
+                    kids += dissect(nodes[side[nodes] == s], src[at], dst[at])
+                return front(nodes[sep], kids) if sep.any() else kids
+        return front(nodes, []) if nodes.size else []
+
+    front(np.arange(interior.size, interior.size + sigma.size),
+          dissect(np.arange(interior.size), src[inner], dst[inner]))
+    nf = len(pivots)
+    bounds = np.zeros(nf + 1, dtype=np.intp)
+    np.cumsum([p.size for p in pivots], out=bounds[1:])
+    perm = np.concatenate([interior[np.concatenate(pivots[:-1])], sigma])
+    nn = perm.size
+    pos = np.full(nv, -1)
+    pos[perm] = np.arange(nn)
+
+    # Lower-triangle node pairs of K_FF, each with the front of its column.
+    pr, pc = pos[rows], pos[cols]
+    keep = (pc >= 0) & (pr >= pc)
+    off, pr, pc = off[keep], pr[keep], pc[keep]
+    rowlen = np.repeat(3 * deg, deg)[keep]
+    f = np.repeat(np.arange(nf), np.diff(bounds))[pc]
+    piv = pr < bounds[f + 1]
+
+    # Update sets, children first.
+    later = np.unique(f[~piv] * nn + pr[~piv])
+    cut = np.searchsorted(later, np.arange(nf + 1) * nn)
+    mark = np.zeros(nn, dtype=bool)
+    struct = []
+    for g in range(nf):
+        mark[later[cut[g]:cut[g + 1]] - g * nn] = True
+        for c in children[g]:
+            mark[struct[c]] = True
+        struct.append(np.flatnonzero(mark[bounds[g + 1]:]) + bounds[g + 1])
+        mark[:] = False
+    sizes = np.array([s.size for s in struct])
+    p, u = 3 * np.diff(bounds), 3 * sizes
+    offset = np.zeros(nf + 1, dtype=np.intp)
+    np.cumsum(p * (p + u), out=offset[1:])
+    flat = np.concatenate(struct)
+    keys = np.repeat(np.arange(nf) * nn, sizes) + flat
+    kstart = np.cumsum(sizes) - sizes
+
+    # Where each child's update set lands in its parent's front.
+    parent = np.empty(nf - 1, dtype=np.intp)
+    for g, kids in enumerate(children):
+        parent[kids] = g
+    child = np.repeat(np.arange(nf - 1), sizes[:-1])
+    at = parent[child]
+    lands = flat[:child.size]
+    into_pivots = lands < bounds[at + 1]
+    lands = np.where(into_pivots, lands - bounds[at],
+                     np.searchsorted(keys, at * nn + lands) - kstart[at])
+
+    # Fill map: the factor position of each lower-triangle entry.
+    row = np.where(piv, pr - bounds[f], np.searchsorted(keys, f * nn + pr) - kstart[f])
+    ld = np.where(piv, p[f], u[f])
+    base = offset[f] + np.where(piv, 0, p[f] ** 2) + 3 * row + 3 * (pc - bounds[f]) * ld
+    three = np.arange(3)
+    entry = (off[:, None, None] + rowlen[:, None, None] * three[:, None] + three).ravel()
+    plan = FrontPlan(
+        start=3 * bounds[:-1], stop=3 * bounds[1:], offset=offset,
+        update=np.split(_node_dofs(flat), 3 * np.cumsum(sizes)[:-1]), children=children,
+        moves=_extend_add_moves(nf - 1, child, into_pivots, lands),
+        fill_dest=(base[:, None, None] + three[:, None] + ld[:, None, None] * three).ravel(),
+        fill_lam=np.concatenate([a.data for a in a_lam])[entry],
+        fill_mu=np.concatenate([a.data for a in a_mu])[entry],
+        fill_counts=9 * np.diff(np.searchsorted(off, nnz)))
+    return perm, plan
+
+
+def _extend_add_moves(count: int, child: np.ndarray, into_pivots: np.ndarray,
+                      lands: np.ndarray) -> list:
+    """Block moves that add each of `count` children's update matrices into
+    its parent's front.
+
+    Entry i of the children's update sets, concatenated in order, belongs to
+    child[i] and lands at node row lands[i] of its parent's pivot block
+    (where into_pivots[i]) or update set.  Within a child these rows
+    increase, mostly in long runs of consecutive nodes.  One move per run and
+    target block (0: pivot block, 1: update rows, 2: update matrix) adds the
+    run's rows of the lower triangle: (target, rows, columns, source rows,
+    source columns), in dofs.  The columns are a slice where they are
+    consecutive, which they are up to the end of a first run."""
+    n = lands.size
+    brk = np.ones(n, dtype=bool)
+    brk[1:] = ((child[1:] != child[:-1]) | (into_pivots[1:] != into_pivots[:-1])
+               | (lands[1:] != lands[:-1] + 1))
+    starts = np.flatnonzero(brk)
+    k = np.bincount(child[into_pivots], minlength=count).tolist()
+    one_run = (np.bincount(child[starts[into_pivots[starts]]], minlength=count) == 1).tolist()
+    head = np.searchsorted(child, np.arange(count)).tolist()
+    dofs = _node_dofs(lands)
+    lo, ch = lands.tolist(), child.tolist()
+    moves = [[] for _ in range(count)]
+    for r0, r1 in zip(starts.tolist(), starts[1:].tolist() + [n]):
+        c = ch[r0]
+        h, kc = head[c], 3 * k[c]
+        to_pivots = r0 < h + k[c]
+        part = h if to_pivots else h + k[c]
+        a, b = 3 * (r0 - part), 3 * (r1 - part)
+        rows = slice(3 * lo[r0], 3 * lo[r0] + b - a)
+        cols = slice(3 * lo[part], 3 * lo[r1 - 1] + 3) if a == 0 else dofs[3 * part:3 * r1]
+        if to_pivots:
+            moves[c].append((0, rows, cols, slice(a, b), slice(0, b)))
+            continue
+        if kc:
+            pivots = (slice(3 * lo[h], 3 * lo[h] + kc) if one_run[c]
+                      else dofs[3 * h:3 * h + kc])
+            moves[c].append((1, rows, pivots, slice(kc + a, kc + b), slice(0, kc)))
+        moves[c].append((2, rows, cols, slice(kc + a, kc + b), slice(kc, kc + b)))
+    return moves
 
 
 def build_cache(mesh: PartitionedMesh) -> MeshCache:
     sets = mesh.node_sets()
     interior, sigma, zero = sets["interior"], sets["sigma"], sets["zero"]
-    sigma_dofs = _node_dofs(sigma)
-    dn_order = np.concatenate([
-        _node_dofs(interior[_interior_node_order(mesh, interior)]), sigma_dofs])
 
     vol, grads, blk_lam, blk_mu = backend.stiffness_blocks(mesh.vertices[mesh.tets])
     if (vol <= 1e-14).any():
@@ -170,15 +347,15 @@ def build_cache(mesh: PartitionedMesh) -> MeshCache:
         a_mu.append(sp.coo_matrix(
             (blk_mu[sel].ravel(), (rows[idx], cols[idx])), shape=(ndof, ndof)).tocsr())
 
+    free_nodes, fronts = _front_plan(mesh, interior, sigma, a_lam, a_mu)
     boundary = np.sort(np.concatenate([sigma, zero]))
     gram = _sigma_gram(mesh, sigma)
     return MeshCache(
         mesh=mesh, vol=vol, grads=grads, a_lam=a_lam, a_mu=a_mu,
-        a_lam_total=sum(a_lam[1:], a_lam[0]), a_mu_total=sum(a_mu[1:], a_mu[0]),
-        interior_dofs=_node_dofs(interior), sigma_dofs=sigma_dofs,
+        interior_dofs=_node_dofs(interior), sigma_dofs=_node_dofs(sigma),
         zero_dofs=_node_dofs(zero), boundary_dofs=_node_dofs(boundary),
         sigma_nodes=sigma, boundary_nodes=boundary, gram_half=gram,
-        dn_order=dn_order,
+        dn_order=_node_dofs(free_nodes), fronts=fronts,
     )
 
 
@@ -248,54 +425,135 @@ def _sigma_gram(mesh: PartitionedMesh, sigma_nodes: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Assembly and solves
+# Multifrontal Cholesky, assembly and solves
 # ---------------------------------------------------------------------------
 
 @dataclass
+class FrontFactor:
+    """Cholesky factor of 2^-exponent K_FF on the fronts of a `FrontPlan`,
+    with `dn` the Schur complement Lambda = K_SS - K_SI K_II^{-1} K_IS.
+
+    Its interior fronts form the Cholesky factor L_II of the scaled K_II,
+    and their update rows on Sigma hold L_SI, with K_IS = L_II L_SI^T up to
+    the scale.  The power-of-two scale keeps Lambda exactly homogeneous in
+    the Lamé vector."""
+
+    plan: FrontPlan
+    store: np.ndarray
+    exponent: int
+    dn: np.ndarray
+
+    def harmonic(self, traces: np.ndarray) -> np.ndarray:
+        """The discrete harmonic extension of the columns of `traces`
+        (Sigma dofs x k): rows in `dn_order`, the Sigma rows equal to
+        `traces` and the interior rows -K_II^{-1} K_IS traces, from
+        L_II^T x_I = -L_SI^T traces by back-substitution down the tree."""
+        ni = self.plan.start[-1]
+        x = np.zeros((ni + traces.shape[0], traces.shape[1]))
+        x[ni:] = traces
+        self._backward(x)
+        return x
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """K_II^{-1} rhs for rhs (interior dofs x k) in `dn_order`."""
+        plan, ni = self.plan, self.plan.start[-1]
+        x = np.zeros((plan.stop[-1], rhs.shape[1]))
+        x[:ni] = rhs
+        for f in range(len(plan.update) - 1):
+            l11, l21 = plan.blocks(self.store, f)
+            blk = x[plan.start[f]:plan.stop[f]]
+            blas.dtrsm(1.0, l11, blk.T, side=1, lower=1, trans_a=1, overwrite_b=1)
+            x[plan.update[f]] -= l21 @ blk
+        x[ni:] = 0.0
+        self._backward(x)
+        return np.ldexp(x[:ni], -self.exponent)
+
+    def _backward(self, x: np.ndarray) -> None:
+        """Solve L_II^T x_I = x_I - L_SI^T x_S in place, root first."""
+        plan = self.plan
+        for f in range(len(plan.update) - 2, -1, -1):
+            l11, l21 = plan.blocks(self.store, f)
+            blk = x[plan.start[f]:plan.stop[f]]
+            blk -= l21.T @ x[plan.update[f]]
+            blas.dtrsm(1.0, l11, blk.T, side=1, lower=1, overwrite_b=1)
+
+
+def _factor_fronts(cache: MeshCache, L: LameVector) -> FrontFactor:
+    """Multifrontal Cholesky of K_FF at L (Duff & Reid 1983; Liu 1992).
+
+    The 2N coefficients are scaled by 2^-e, e the binary exponent of the
+    largest, so that Lambda(2L) = 2 Lambda(L) holds bit for bit.  In
+    postorder, each front receives its K entries and its children's update
+    matrices, factors its pivot block (potrf), solves for its update rows
+    (trsm) and passes its update matrix -L21 L21^T (syrk) to its parent; the
+    Sigma block collects K_SS and the top fronts' updates.  Only lower
+    triangles are kept.  A nonpositive pivot raises ValueError.
+    """
+    plan = cache.fronts
+    coef = np.concatenate([np.asarray(L.lambdas, dtype=float),
+                           2.0 * np.asarray(L.mus, dtype=float)])
+    exponent = int(np.frexp(np.abs(coef).max())[1])
+    coef = np.ldexp(coef, -exponent)
+    n = coef.size // 2
+    weights = (np.repeat(coef[:n], plan.fill_counts) * plan.fill_lam
+               + np.repeat(coef[n:], plan.fill_counts) * plan.fill_mu)
+    store = np.bincount(plan.fill_dest, weights, minlength=plan.offset[-1])
+
+    updates = []
+    for f in range(len(plan.update)):
+        l11, l21 = plan.blocks(store, f)
+        upd = np.zeros((l21.shape[0],) * 2, order="F")
+        targets = (l11, l21, upd)
+        for c in reversed(plan.children[f]):
+            uc = updates.pop()
+            for t, rows, cols, src_rows, src_cols in plan.moves[c]:
+                targets[t][rows, cols] += uc[src_rows, src_cols]
+        if f == len(plan.update) - 1:
+            break
+        _, info = lapack.dpotrf(l11, lower=1, clean=0, overwrite_a=1)
+        if info > 0:
+            raise ValueError("interior stiffness block K_II is not positive definite")
+        if upd.size:
+            blas.dtrsm(1.0, l11, l21, side=1, lower=1, trans_a=1, overwrite_b=1)
+            blas.dsyrk(-1.0, l21, beta=1.0, c=upd, lower=1, overwrite_c=1)
+        updates.append(upd)
+    lam = np.tril(l11)
+    lam += np.tril(l11, -1).T
+    return FrontFactor(plan=plan, store=store, exponent=exponent,
+                       dn=np.ldexp(lam, exponent))
+
+
+@dataclass
 class FemSystem:
+    """The system at one Lamé vector on a cached mesh.  The stiffness matrix
+    and the multifrontal factor are each built on first use."""
+
     cache: MeshCache
     L: LameVector
-    stiffness: sp.csr_matrix
-    _factor: object = field(default=None, repr=False, compare=False)
-    _dn_factor: object = field(default=None, repr=False, compare=False)
+    _cholesky: FrontFactor = field(default=None, repr=False, compare=False)
 
     @property
     def mesh(self) -> PartitionedMesh:
         return self.cache.mesh
 
-    @property
-    def factor(self):
-        """Sparse LU of the interior block K_II (shared by all solves)."""
-        if self._factor is None:
-            idx = self.cache.interior_dofs
-            k_ii = self.stiffness[idx][:, idx].tocsc()
-            self._factor = spla.splu(k_ii)
-        return self._factor
+    @cached_property
+    def stiffness(self) -> sp.csr_matrix:
+        """K = sum_j lambda_j A_j^lam + 2 mu_j A_j^mu in natural dof order,
+        for the energy pairings and right-hand sides; the factor reads the
+        subdomain splits directly."""
+        cache, L = self.cache, self.L
+        k = sp.csr_matrix((cache.num_dofs, cache.num_dofs))
+        for j in range(L.N):
+            k = k + L.lambdas[j] * cache.a_lam[j] + 2.0 * L.mus[j] * cache.a_mu[j]
+        return k
 
     @property
-    def dn_factor(self):
-        """Unpivoted sparse LU K_FF = L U of the free-dof block in
-        `cache.dn_order` (interior dofs in nested-dissection order, Sigma
-        dofs last), shared by `dn_matrix` and `dn_partials`.
-
-        Factoring without pivoting requires K_II positive definite, which
-        holds on the admissible set (mu >= alpha0, 2 mu + 3 lambda >= beta0);
-        a nonpositive interior pivot raises ValueError, and so does a
-        factorisation that permutes rows and columns differently or moves
-        the Sigma block.
-        """
-        if self._dn_factor is None:
-            order = self.cache.dn_order
-            ni, n = order.size - self.cache.sigma_dofs.size, order.size
-            lu = spla.splu(self.stiffness[order][:, order].tocsc(), permc_spec="NATURAL",
-                           diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-            if not (np.array_equal(lu.perm_r, lu.perm_c)
-                    and np.array_equal(lu.perm_c[ni:], np.arange(ni, n))):
-                raise ValueError("factorisation permuted unsymmetrically or moved the Sigma block")
-            if not (lu.U.diagonal()[:ni] > 0).all():
-                raise ValueError("interior stiffness block K_II is not positive definite")
-            self._dn_factor = lu
-        return self._dn_factor
+    def cholesky(self) -> FrontFactor:
+        """The multifrontal Cholesky factor of K_FF that the DN matrix, its
+        partials and every interior solve use: one per system."""
+        if self._cholesky is None:
+            self._cholesky = _factor_fronts(self.cache, self.L)
+        return self._cholesky
 
     def with_parameters(self, L: LameVector) -> "FemSystem":
         return assemble(self.mesh, L, cache=self.cache)
@@ -303,9 +561,10 @@ class FemSystem:
 
 def assemble(mesh: PartitionedMesh, L: LameVector, cache: MeshCache = None,
              warn: bool = True) -> FemSystem:
-    """Stiffness K = sum_j lambda_j A_j^lam + 2 mu_j A_j^mu on the cached
-    subdomain splits.  Inadmissible parameters only warn (probes may wander);
-    warn=False silences that for deliberate out-of-box sweeps."""
+    """The system K = sum_j lambda_j A_j^lam + 2 mu_j A_j^mu on the cached
+    subdomain splits; nothing is summed or factored until used.
+    Inadmissible parameters only warn (probes may wander); warn=False
+    silences that for deliberate out-of-box sweeps."""
     if cache is None:
         cache = build_cache(mesh)
     if L.N != mesh.N:
@@ -314,10 +573,7 @@ def assemble(mesh: PartitionedMesh, L: LameVector, cache: MeshCache = None,
         ok, _ = check_admissible(L, DEFAULT_BOX)
         if not ok:
             warnings.warn("assembling with inadmissible Lamé parameters", stacklevel=2)
-    k = sp.csr_matrix((cache.num_dofs, cache.num_dofs))
-    for j in range(L.N):
-        k = k + L.lambdas[j] * cache.a_lam[j] + 2.0 * L.mus[j] * cache.a_mu[j]
-    return FemSystem(cache=cache, L=L, stiffness=k)
+    return FemSystem(cache=cache, L=L)
 
 
 def random_sigma_trace(cache: MeshCache, rng: np.random.Generator) -> np.ndarray:
@@ -326,18 +582,23 @@ def random_sigma_trace(cache: MeshCache, rng: np.random.Generator) -> np.ndarray
     return psi / np.linalg.norm(psi)
 
 
+def _solve_interior(sys: FemSystem, rhs: np.ndarray, u: np.ndarray) -> None:
+    """Set the interior entries of the dof vector u to K_II^{-1} rhs_I."""
+    idx = sys.cache.dn_order[:sys.cache.interior_dofs.size]
+    u[idx] = sys.cholesky.solve(rhs[idx, None])[:, 0]
+
+
 def solve_dirichlet(sys: FemSystem, psi: np.ndarray) -> np.ndarray:
     """Displacement with trace psi on Sigma dofs and zero on the rest of the
-    boundary.  Returns nodal values (nv, 3); the trace rows equal the
-    zero-extended datum exactly (row/column elimination, no penalty)."""
+    boundary: the discrete harmonic extension from `sys.cholesky`.  Returns
+    nodal values (nv, 3); the trace rows equal the zero-extended datum
+    exactly (row/column elimination, no penalty)."""
     cache = sys.cache
     psi = np.asarray(psi, dtype=float)
     if psi.shape != (cache.sigma_dofs.size,):
         raise ValueError("psi must live on the Sigma trace dofs")
-    rhs = -(sys.stiffness[cache.interior_dofs][:, cache.sigma_dofs] @ psi)
     u = np.zeros(cache.num_dofs)
-    u[cache.sigma_dofs] = psi
-    u[cache.interior_dofs] = sys.factor.solve(rhs)
+    u[cache.dn_order] = sys.cholesky.harmonic(psi[:, None])[:, 0]
     return u.reshape(-1, 3)
 
 
@@ -348,10 +609,9 @@ def solve_with_boundary_values(sys: FemSystem, g: np.ndarray) -> np.ndarray:
     cache = sys.cache
     gflat = np.asarray(g, dtype=float).reshape(-1)
     bdofs = cache.boundary_dofs
-    rhs = -(sys.stiffness[cache.interior_dofs][:, bdofs] @ gflat[bdofs])
     u = np.zeros(cache.num_dofs)
     u[bdofs] = gflat[bdofs]
-    u[cache.interior_dofs] = sys.factor.solve(rhs)
+    _solve_interior(sys, -(sys.stiffness @ u), u)
     return u.reshape(-1, 3)
 
 
@@ -379,19 +639,13 @@ def dn_matrix(sys: FemSystem) -> DnMatrix:
     """Schur complement Lambda = K_SS - K_SI K_II^{-1} K_IS over the interior
     block, after eliminating the zero-constrained boundary dofs.
 
-    Read off the trailing factor blocks of `sys.dn_factor`, the unpivoted
-    Sigma-last LU of the free-dof block: Lambda = L_SS U_SS.  Raises
-    ValueError where that factor does (K_II not positive definite).
+    Assembled in the Sigma block of `sys.cholesky`, the multifrontal Cholesky
+    factorisation of the free-dof block on the nested-dissection tree: K_SS
+    plus the update matrices of the top fronts.  Exactly symmetric.  Raises
+    ValueError where that factorisation does (K_II not positive definite).
     """
     cache = sys.cache
-    ns = cache.sigma_dofs.size
-    ni = cache.dn_order.size - ns
-    # Allocated before the factor is built: the result then does not pin its
-    # freed heap memory, which otherwise raised the peak RSS of repeated calls.
-    lam = np.empty((ns, ns))
-    lu = sys.dn_factor
-    np.matmul(lu.L[ni:, ni:].toarray(), lu.U[ni:, ni:].toarray(), out=lam)
-    return DnMatrix(entries=lam, gram_half=cache.gram_half, r0=sys.mesh.r0,
+    return DnMatrix(entries=sys.cholesky.dn, gram_half=cache.gram_half, r0=sys.mesh.r0,
                     sigma_nodes=cache.sigma_nodes)
 
 
@@ -404,19 +658,13 @@ def dn_partials(sys: FemSystem) -> list:
     Sigma traces, J_p = P^T (dK/dL_p) P, where dK/dlambda_j = A_j^lam and
     dK/dmu_j = 2 A_j^mu: the Schur complement is the energy at the
     prolongation, and the prolongation's own derivative drops out
-    (stationarity).  P is one solve with `sys.dn_factor`,
-    K_FF P = [0; Lambda], with its Sigma rows then set to Id; the partials of
+    (stationarity).  P is `sys.cholesky.harmonic` of the identity: block
+    back-substitution down the tree, L_II^T P_I = -L_SI^T.  The partials of
     subdomain j use only the rows of P on the free dofs its tets touch
     (`cache.dn_blocks`).  Each partial is symmetrised.
     """
     cache = sys.cache
-    ns = cache.sigma_dofs.size
-    ni = cache.dn_order.size - ns
-    lu = sys.dn_factor
-    rhs = np.zeros((ni + ns, ns))
-    np.matmul(lu.L[ni:, ni:].toarray(), lu.U[ni:, ni:].toarray(), out=rhs[ni:])
-    p = lu.solve(rhs)
-    p[ni:] = np.eye(ns)
+    p = sys.cholesky.harmonic(np.eye(cache.sigma_dofs.size))
     lams, mus = [], []
     for idx, a_lam, a_mu in cache.dn_blocks:
         pj = p[idx]
@@ -475,30 +723,12 @@ def strain_energy_pairing(cache: MeshCache, dlam, dmu, u1, u2,
     return float(per.sum())
 
 
-def _dn_solution(sys: FemSystem, lam: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """`solve_dirichlet` from the DN factor: with Lambda = dn_matrix(sys),
-    solve K_FF x = [0; Lambda psi] with `sys.dn_factor` in `cache.dn_order`,
-    then set the Sigma rows to psi exactly, as `dn_partials` does for the
-    prolongation.  Returns nodal values (nv, 3)."""
-    cache = sys.cache
-    if psi.shape != (cache.sigma_dofs.size,):
-        raise ValueError("traces must live on the Sigma trace dofs")
-    ni = cache.dn_order.size - cache.sigma_dofs.size
-    rhs = np.zeros(cache.dn_order.size)
-    rhs[ni:] = lam @ psi
-    x = sys.dn_factor.solve(rhs)
-    x[ni:] = psi
-    u = np.zeros(cache.num_dofs)
-    u[cache.dn_order] = x
-    return u.reshape(-1, 3)
-
-
 def alessandrini_residual(mesh: PartitionedMesh, L1: LameVector, L2: LameVector,
                           psi: np.ndarray, phi: np.ndarray,
                           cache: MeshCache = None):
     """Interior integral of (C1 - C2) e(u1):e(u2) against the DN pairing
     phi^T (Lambda_1 - Lambda_2) psi; returns (lhs, rhs, relative residual).
-    Each system is factored once: u1 and u2 come from the DN factor that
+    Each system is factored once: u1 and u2 come from the factor that
     Lambda_1 and Lambda_2 are read off."""
     if cache is None:
         cache = build_cache(mesh)
@@ -507,8 +737,8 @@ def alessandrini_residual(mesh: PartitionedMesh, L1: LameVector, L2: LameVector,
     sys2 = assemble(mesh, L2, cache)
     d1 = dn_matrix(sys1).entries
     d2 = dn_matrix(sys2).entries
-    u1 = _dn_solution(sys1, d1, psi)
-    u2 = _dn_solution(sys2, d2, phi)
+    u1 = solve_dirichlet(sys1, psi)
+    u2 = solve_dirichlet(sys2, phi)
     dlam = np.array(L1.lambdas) - np.array(L2.lambdas)
     dmu = np.array(L1.mus) - np.array(L2.mus)
     lhs = strain_energy_pairing(cache, dlam, dmu, u1, u2)
@@ -587,15 +817,14 @@ def green_function(sys: FemSystem, y, l) -> GreenField:
     gamma = backend.kelvin_batch(sys.mesh.vertices, y, mu_y, nu_y, l)
     gflat = gamma.reshape(-1)
 
-    k_y = lam_y * cache.a_lam_total + 2.0 * mu_y * cache.a_mu_total
-    d_vec = k_y @ gflat
-    rhs_full = d_vec - sys.stiffness @ gflat
-
-    i_idx, b_idx = cache.interior_dofs, cache.boundary_dofs
+    d_vec = sum(lam_y * (a @ gflat) + 2.0 * mu_y * (m @ gflat)
+                for a, m in zip(cache.a_lam, cache.a_mu))
+    b_idx = cache.boundary_dofs
+    g_in = gflat.copy()
+    g_in[b_idx] = 0.0
     w = np.zeros(cache.num_dofs)
     w[b_idx] = -gflat[b_idx]
-    rhs = rhs_full[i_idx] - sys.stiffness[i_idx][:, b_idx] @ w[b_idx]
-    w[i_idx] = sys.factor.solve(rhs)
+    _solve_interior(sys, d_vec - sys.stiffness @ g_in, w)
     w = w.reshape(-1, 3)
     return GreenField(values=gamma + w, gamma=gamma, correction=w,
                       d_vec=d_vec, y=y, l=l, label=label)

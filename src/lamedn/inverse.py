@@ -97,8 +97,9 @@ class Jacobian:
 def frechet_derivative(ctx: ForwardContext, L: LameVector) -> Jacobian:
     """Exact parameter Jacobian of the DN matrix at L: the 2N partials
     J_p = P^T (dK/dL_p) P of `fem.dn_partials`, with P the discrete harmonic
-    prolongation from Sigma traces, taken from the same single Sigma-last LU
-    that `forward` reads the DN matrix off (one factorisation per call)."""
+    prolongation from Sigma traces, taken from the same multifrontal Cholesky
+    factor that `forward` reads the DN matrix off (one factorisation per
+    call)."""
     sys = assemble(ctx.mesh, L, ctx.cache)
     return Jacobian(mats=dn_partials(sys), L=L, gram_half=ctx.cache.gram_half)
 

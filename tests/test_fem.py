@@ -27,7 +27,7 @@ from lamedn.fem import (
     solve_with_boundary_values,
     tet_quadrature,
 )
-from lamedn.geometry import build_layered_cube
+from lamedn.geometry import PartitionedMesh, build_layered_cube
 from lamedn.kernels import kelvin_matrix
 
 L2 = LameVector([1.0, 0.8], [0.9, 1.2])
@@ -163,16 +163,17 @@ class TestDnMatrix:
     @pytest.mark.parametrize("name", ["cache_2x4", "cache_2x8"])
     def test_interior_identity_factors_each_system_once(self, request, name,
                                                         rng, monkeypatch):
-        """u1, u2 come from the DN factors: one splu per system, two a call."""
+        """u1, u2 come from the factors the DN maps are read off: one
+        factorisation per system, two a call."""
         cache = request.getfixturevalue(name)
         calls = []
-        splu = fem.spla.splu
+        factor = fem._factor_fronts
 
-        def counting_splu(*args, **kwargs):
+        def counting_factor(*args, **kwargs):
             calls.append(1)
-            return splu(*args, **kwargs)
+            return factor(*args, **kwargs)
 
-        monkeypatch.setattr(fem.spla, "splu", counting_splu)
+        monkeypatch.setattr(fem, "_factor_fronts", counting_factor)
         for k in range(3):
             psi = random_sigma_trace(cache, rng)
             phi = random_sigma_trace(cache, rng)
@@ -185,6 +186,131 @@ class TestDnMatrix:
         psi = random_sigma_trace(cache_2x4, rng)
         with pytest.raises(ValueError, match="Sigma"):
             alessandrini_residual(cache_2x4.mesh, L2, L2B, psi[:-1], psi, cache_2x4)
+
+
+def _dense_interior(sys):
+    """Dense K and the interior / boundary index sets of a system."""
+    cache = sys.cache
+    return sys.stiffness.toarray(), cache.interior_dofs, cache.boundary_dofs
+
+
+def _two_cubes(n):
+    """Two one-layer unit cubes, n cells a side, a unit gap apart: the
+    interior node graph falls in two pieces, so the first split finds no
+    separator and two fronts sit below the Sigma block."""
+    a = build_layered_cube(1, n)
+    shift = a.num_vertices
+    return PartitionedMesh(
+        vertices=np.vstack([a.vertices, a.vertices + [2.0, 0.0, 0.0]]),
+        tets=np.vstack([a.tets, a.tets + shift]), labels=np.tile(a.labels, 2),
+        boundary_faces=np.vstack([a.boundary_faces, a.boundary_faces + shift]),
+        boundary_tags=np.tile(a.boundary_tags, 2), interfaces=[], r0=a.r0, L_lip=a.L_lip, n=n)
+
+
+def _mesh(spec):
+    return _two_cubes(4) if spec == "two-cubes" else build_layered_cube(*spec)
+
+
+class TestFronts:
+    """The multifrontal factor against dense references on meshes whose
+    dissection trees differ: a single leaf (n = 3), uneven median splits
+    (odd n), several layers, and a split without separator."""
+
+    MESHES = [(1, 3), (1, 5), (1, 7), (2, 2), (2, 6), (3, 3), (3, 6), "two-cubes"]
+
+    @pytest.mark.parametrize("spec", MESHES)
+    def test_dn_matrix_matches_dense_schur_complement(self, spec):
+        cache = build_cache(_mesh(spec))
+        N = cache.mesh.N
+        L = sample_admissible(N, rng=np.random.default_rng(10 * N + cache.mesh.n))
+        sys = assemble(cache.mesh, L, cache)
+        k, i_idx, _ = _dense_interior(sys)
+        s_idx = cache.sigma_dofs
+        k_is = k[np.ix_(i_idx, s_idx)]
+        ref = k[np.ix_(s_idx, s_idx)] - k_is.T @ np.linalg.solve(k[np.ix_(i_idx, i_idx)], k_is)
+        lam = dn_matrix(sys).entries
+        assert np.abs(lam - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.array_equal(lam, lam.T)
+
+    @pytest.mark.parametrize("spec", MESHES)
+    def test_plan_partitions_and_nests(self, spec):
+        """Pivot ranges tile the interior dofs, then Sigma; every update set
+        lies after its front and inside its parent's front."""
+        cache = build_cache(_mesh(spec))
+        plan = cache.fronts
+        assert len(plan.children[-1]) == (2 if spec == "two-cubes" else 1)
+        ni = cache.interior_dofs.size
+        assert plan.start[0] == 0
+        assert np.array_equal(plan.start[1:], plan.stop[:-1])
+        assert (plan.stop > plan.start).all()
+        assert plan.start[-1] == ni and plan.stop[-1] == ni + cache.sigma_dofs.size
+        assert plan.update[-1].size == 0
+        kids = sorted(c for ch in plan.children for c in ch)
+        assert kids == list(range(len(plan.update) - 1))
+        for f, children in enumerate(plan.children):
+            front = np.concatenate([np.arange(plan.start[f], plan.stop[f]), plan.update[f]])
+            for c in children:
+                assert c < f
+                assert (plan.update[c] >= plan.stop[c]).all()
+                assert np.isin(plan.update[c], front).all()
+
+    def test_no_sparse_lu(self, cache_2x8, rng, monkeypatch):
+        """Every solve and the DN map and its partials use the one factor."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("sparse LU called")
+
+        monkeypatch.setattr(fem.spla, "splu", refuse)
+        monkeypatch.setattr(fem.spla, "spsolve", refuse)
+        sys = assemble(cache_2x8.mesh, L2, cache_2x8)
+        dn_matrix(sys)
+        dn_partials(sys)
+        solve_dirichlet(sys, random_sigma_trace(cache_2x8, rng))
+        solve_with_boundary_values(sys, rng.standard_normal((cache_2x8.mesh.num_vertices, 3)))
+        green_function(sys, TestGreenFunction.Y, 2)
+        alessandrini_residual(cache_2x8.mesh, L2, L2B, random_sigma_trace(cache_2x8, rng),
+                              random_sigma_trace(cache_2x8, rng), cache_2x8)
+
+    @pytest.mark.parametrize("name", ["cache_1x4", "cache_2x4", "cache_2x8"])
+    def test_solve_dirichlet_matches_dense(self, request, name, rng):
+        cache = request.getfixturevalue(name)
+        sys = assemble(cache.mesh, L2 if cache.mesh.N == 2 else LameVector([1.0], [1.2]), cache)
+        k, i_idx, _ = _dense_interior(sys)
+        psi = random_sigma_trace(cache, rng)
+        want = -np.linalg.solve(k[np.ix_(i_idx, i_idx)], k[np.ix_(i_idx, cache.sigma_dofs)] @ psi)
+        got = solve_dirichlet(sys, psi).reshape(-1)[i_idx]
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("name", ["cache_1x4", "cache_2x4", "cache_2x8"])
+    def test_solve_with_boundary_values_matches_dense(self, request, name, rng):
+        cache = request.getfixturevalue(name)
+        sys = assemble(cache.mesh, L2 if cache.mesh.N == 2 else LameVector([1.0], [1.2]), cache)
+        k, i_idx, b_idx = _dense_interior(sys)
+        g = rng.standard_normal((cache.mesh.num_vertices, 3))
+        want = -np.linalg.solve(k[np.ix_(i_idx, i_idx)],
+                                k[np.ix_(i_idx, b_idx)] @ g.reshape(-1)[b_idx])
+        got = solve_with_boundary_values(sys, g).reshape(-1)
+        assert np.abs(got[i_idx] - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.array_equal(got[b_idx], g.reshape(-1)[b_idx])
+
+    def test_green_function_matches_dense(self, cache_2x8):
+        """The correction solves K_II w_I = (d - K Gamma)_I - K_IB w_B with
+        w_B = -Gamma_B, and d = K_y Gamma with K_y the stiffness of the
+        constant tensor at y over the whole mesh."""
+        cache = cache_2x8
+        sys = assemble(cache.mesh, L2, cache)
+        k, i_idx, b_idx = _dense_interior(sys)
+        g = green_function(sys, TestGreenFunction.Y, 2)
+        lam_y, mu_y = L2.lambdas[g.label - 1], L2.mus[g.label - 1]
+        k_y = lam_y * sum(a.toarray() for a in cache.a_lam) + 2.0 * mu_y * sum(
+            a.toarray() for a in cache.a_mu)
+        gflat = g.gamma.reshape(-1)
+        d_vec = k_y @ gflat
+        assert np.abs(g.d_vec - d_vec).max() <= 1e-12 * np.abs(d_vec).max()
+        rhs = (d_vec - k @ gflat)[i_idx] + k[np.ix_(i_idx, b_idx)] @ gflat[b_idx]
+        want = np.linalg.solve(k[np.ix_(i_idx, i_idx)], rhs)
+        got = g.correction.reshape(-1)
+        assert np.abs(got[i_idx] - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.array_equal(got[b_idx], -gflat[b_idx])
 
 
 class TestDnPartials:

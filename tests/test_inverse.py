@@ -29,22 +29,22 @@ L2B = LameVector([1.1, 0.7], [1.0, 1.1])
 
 
 def count_factorisations(monkeypatch):
-    """Count sparse LU factorisations; each call also records how many
-    FemSystems built through `inverse.assemble` still hold a DN factor."""
+    """Count multifrontal factorisations; each call also records how many
+    FemSystems built through `inverse.assemble` still hold a factor."""
     calls, systems = [], []
-    splu, assemble = fem.spla.splu, inverse.assemble
+    factor, assemble = fem._factor_fronts, inverse.assemble
 
-    def counting_splu(*args, **kwargs):
+    def counting_factor(*args, **kwargs):
         calls.append(sum(1 for ref in systems
-                         if (s := ref()) is not None and s._dn_factor is not None))
-        return splu(*args, **kwargs)
+                         if (s := ref()) is not None and s._cholesky is not None))
+        return factor(*args, **kwargs)
 
     def recording_assemble(*args, **kwargs):
         sys = assemble(*args, **kwargs)
         systems.append(weakref.ref(sys))
         return sys
 
-    monkeypatch.setattr(fem.spla, "splu", counting_splu)
+    monkeypatch.setattr(fem, "_factor_fronts", counting_factor)
     monkeypatch.setattr(inverse, "assemble", recording_assemble)
     return calls
 
