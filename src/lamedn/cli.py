@@ -304,16 +304,21 @@ def cmd_kernels(cfg, out):
 
 
 def cmd_q0(cfg, out):
-    from .inverse import build_context, q0_estimate
+    from .inverse import build_context, q0_search
     mesh = _get_mesh(cfg)
     box = _get_box(cfg)
     ctx = build_context(mesh, box)
     samples = _sample_vectors(cfg["q0"]["num_samples"], mesh.N, box, cfg["seed"])
-    q0 = q0_estimate(ctx, samples)
+    search = q0_search(ctx, samples)
+    q0 = search.q0
     floor = cfg["tolerances"]["q0_positive"]
     report = _base_report(mesh)
-    report["q0"] = float(q0)
+    report["q0"] = q0
     report["num_samples"] = len(samples)
+    report["diagnostics"] = {"faces_solved": search.faces_solved,
+                             "faces_skipped": search.faces_skipped,
+                             "newton_steps": list(search.newton_steps),
+                             "gap": search.gap}
     report["pass"] = bool(floor is None or q0 > float(floor))
     _write_report(out, report)
     if not report["pass"]:

@@ -47,7 +47,6 @@ __all__ = [
     "dn_matrix",
     "dn_partials",
     "dn_bilinear",
-    "dn_operator_norm",
     "alessandrini_residual",
     "green_function",
     "sensitivity_kernel",
@@ -555,9 +554,6 @@ class FemSystem:
             self._cholesky = _factor_fronts(self.cache, self.L)
         return self._cholesky
 
-    def with_parameters(self, L: LameVector) -> "FemSystem":
-        return assemble(self.mesh, L, cache=self.cache)
-
 
 def assemble(mesh: PartitionedMesh, L: LameVector, cache: MeshCache = None,
              warn: bool = True) -> FemSystem:
@@ -680,16 +676,6 @@ def dn_bilinear(sys: FemSystem, psi: np.ndarray, phi: np.ndarray) -> float:
     cache = sys.cache
     u = solve_dirichlet(sys, psi).reshape(-1)
     return float((sys.stiffness @ u)[cache.sigma_dofs] @ np.asarray(phi, dtype=float))
-
-
-def dn_operator_norm(delta: np.ndarray, gram_half: np.ndarray) -> float:
-    """Gram-whitened spectral norm ||G^{-1/2} Delta G^{-1/2}||_2."""
-    delta = np.asarray(delta, dtype=float)
-    w, u = np.linalg.eigh(np.asarray(gram_half, dtype=float))
-    if w.min() <= 0:
-        raise ValueError("Gram matrix must be symmetric positive definite")
-    g_ihalf = (u / np.sqrt(w)) @ u.T
-    return float(np.linalg.norm(g_ihalf @ delta @ g_ihalf, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ and compared in spectral or Frobenius norm afterwards.
 from __future__ import annotations
 
 import hashlib
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,8 @@ __all__ = [
     "forward",
     "frechet_derivative",
     "star_norm",
+    "Q0Search",
+    "q0_search",
     "q0_estimate",
     "lipschitz_probe",
     "reconstruct",
@@ -32,15 +35,10 @@ __all__ = [
 
 @dataclass
 class ForwardContext:
-    """Shared immutable state for repeated forward/derivative evaluations.
-
-    probe_basis None means the full Sigma trace space (dense norms); that is
-    the only mode implemented and is recorded in reports.
-    """
+    """Shared immutable state for repeated forward/derivative evaluations."""
 
     cache: MeshCache
     box: AdmissibleBox = DEFAULT_BOX
-    probe_basis: object = None
     g_ihalf: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -73,8 +71,13 @@ def forward(ctx: ForwardContext, L: LameVector) -> DnMatrix:
 
 
 def star_norm(ctx: ForwardContext, delta: np.ndarray) -> float:
-    """Operator norm ||G^{-1/2} delta G^{-1/2}||_2 using the cached root."""
-    return float(np.linalg.norm(ctx.g_ihalf @ np.asarray(delta) @ ctx.g_ihalf, 2))
+    """Operator norm ||G^{-1/2} delta G^{-1/2}||_2 using the cached root.
+
+    delta is taken as symmetric (a difference of DN matrices, or symmetrised
+    noise): the norm is the largest |eigenvalue| of the symmetric part of
+    the whitened matrix, which costs an eigvalsh instead of an SVD."""
+    w = ctx.g_ihalf @ np.asarray(delta) @ ctx.g_ihalf
+    return float(np.abs(np.linalg.eigvalsh(0.5 * (w + w.T))).max())
 
 
 @dataclass
@@ -124,7 +127,8 @@ def _face_min(mats, p):
     the absolute floor lets a zero minimum terminate and keeps the slacks
     above the rounding error of forming A, so each centring (capped at 50
     steps) meets its Newton-decrement tolerance of 1e-2.  Returns the
-    attained value ||A(v)||_2 at the last iterate and the Newton step count.
+    attained value ||A(v)||_2 at the last iterate, the Newton step count and
+    the final duality gap nu/s.
     """
     a_p = mats[p]
     free = np.array([m for q, m in enumerate(mats) if q != p])
@@ -168,7 +172,70 @@ def _face_min(mats, p):
                 alpha *= 0.5
             t, v, w, x = t_new, v_new, w_new, x_new
             steps += 1
-    return float(np.abs(w).max()), steps
+    return float(np.abs(w).max()), steps, nu / s
+
+
+def _face_bounds(mats) -> np.ndarray:
+    """Lower bounds b_p on the minimum of ||A(v)||_2 over face p (see
+    `_face_min`), one least-squares fit each.
+
+    With y the unit residual of the fit of vec M_p by the other vec M_q, every
+    v with |v_q| <= 1 gives
+        ||A(v)||_2 >= ||A(v)||_F / sqrt(n) >= y . vec A(v) / sqrt(n)
+                   >= (y . vec M_p - sum_{q != p} |y . vec M_q|) / sqrt(n) = b_p.
+    For the exact fit y is orthogonal to every vec M_q, q != p, and b_p is the
+    fit's residual over sqrt(n): the Frobenius bound over unconstrained v.  A
+    fit that rounding leaves off only lowers b_p, however ill-conditioned the
+    stack, so b_p is a bound up to the rounding of its dot products.
+    """
+    d, n = len(mats), mats[0].shape[0]
+    stack = np.array(mats).reshape(d, -1).T
+    bounds = np.zeros(d)
+    for p in range(d):
+        others = np.delete(stack, p, axis=1)
+        r = stack[:, p] - others @ np.linalg.lstsq(others, stack[:, p], rcond=None)[0]
+        norm = np.linalg.norm(r)
+        if norm > 0.0:
+            dots = (r / norm) @ stack
+            bounds[p] = (dots[p] - np.abs(np.delete(dots, p)).sum()) / np.sqrt(n)
+    return bounds
+
+
+@dataclass(frozen=True)
+class Q0Search:
+    """What one q0 search found and did: deterministic counts, no timings."""
+
+    q0: float
+    faces_solved: int
+    faces_skipped: int
+    newton_steps: tuple  # per solved face, in the order solved
+    gap: float           # final duality gap nu/s of the face that gave q0
+
+
+def q0_search(ctx: ForwardContext, samples) -> Q0Search:
+    """The search behind `q0_estimate`, with its counts."""
+    samples = list(samples)
+    if not samples:
+        raise ValueError("q0_estimate needs at least one sample")
+    best, gap, steps, skipped = np.inf, 0.0, [], 0
+    for L in samples:
+        mats = _whitened(ctx, frechet_derivative(ctx, L))
+        if not any(m.any() for m in mats):
+            warnings.warn("all-zero Jacobian: q0 = 0", stacklevel=3)
+            return Q0Search(0.0, len(steps), skipped, tuple(steps), 0.0)
+        bounds = _face_bounds(mats)
+        # rounding of the bounds' dot products and of the attained values
+        # they are compared with, both of order eps sum_q ||M_q||_F
+        guard = 1e-12 * (np.abs(bounds) + sum(np.linalg.norm(m) for m in mats))
+        for p in np.argsort(bounds, kind="stable"):
+            if bounds[p] - guard[p] >= best:
+                skipped += 1
+                continue
+            value, k, face_gap = _face_min(mats, p)
+            steps.append(k)
+            if value < best:
+                best, gap = value, face_gap
+    return Q0Search(float(best), len(steps), skipped, tuple(steps), float(gap))
 
 
 def q0_estimate(ctx: ForwardContext, samples) -> float:
@@ -181,20 +248,19 @@ def q0_estimate(ctx: ForwardContext, samples) -> float:
     1e-9 times the face value plus a rounding floor of 1e-13 sum_p ||M_p||_2.
     The result is an attained value of f, so it never undercuts the true
     minimum (up to rounding) and exceeds it by at most that gap.
+
+    Not every face is solved.  Per sample, each face p first gets a lower
+    bound b_p from one least-squares fit (`_face_bounds`: ||A||_2 >=
+    ||A||_F / sqrt(n)), and the faces are solved in increasing b_p against
+    one running minimum over all samples.  A face whose b_p, less a rounding
+    guard of 1e-12 (|b_p| + sum_q ||M_q||_F), is at least that minimum is
+    skipped: its solve would return an attained value >= its true minimum
+    >= b_p, which cannot lower the minimum.  A solved face gives the same
+    value whichever faces are skipped, so the result is bitwise the minimum
+    over all 2N faces of every sample.  `q0_search` also reports the faces solved and
+    skipped, the Newton steps and the winning face's duality gap.
     """
-    samples = list(samples)
-    if not samples:
-        raise ValueError("q0_estimate needs at least one sample")
-    overall = np.inf
-    for L in samples:
-        mats = _whitened(ctx, frechet_derivative(ctx, L))
-        if not any(m.any() for m in mats):
-            import warnings
-            warnings.warn("all-zero Jacobian: q0 = 0", stacklevel=2)
-            return 0.0
-        for p in range(len(mats)):
-            overall = min(overall, _face_min(mats, p)[0])
-    return float(overall)
+    return q0_search(ctx, samples).q0
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,13 @@ class TestDeterminism:
         assert main(["identity_check", "--config", path, "--out", str(b)]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
 
+    def test_q0_report_is_byte_stable(self, tmp_path):
+        path = _cfg(tmp_path, "c.json", {"q0": {"num_samples": 2}})
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["q0", "--config", path, "--out", str(a)]) == EXIT_OK
+        assert main(["q0", "--config", path, "--out", str(b)]) == EXIT_OK
+        assert a.read_bytes() == b.read_bytes()
+
     def test_seed_changes_report(self, tmp_path):
         path = _cfg(tmp_path, "c.json", {"identity": {"num_pairs": 2}})
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -144,7 +151,11 @@ class TestChecksAndReports:
         assert main(["q0", "--config", path, "--out", str(out)]) == EXIT_OK
         rep = json.loads(out.read_text())
         assert rep["q0"] > 0
-        assert {"mesh", "gram", "q0", "ratios", "iterates"} <= set(rep)
+        assert {"mesh", "gram", "q0", "ratios", "iterates", "diagnostics"} <= set(rep)
+        diag = rep["diagnostics"]
+        assert set(diag) == {"faces_solved", "faces_skipped", "newton_steps", "gap"}
+        assert diag["faces_solved"] + diag["faces_skipped"] == 2 * rep["mesh"]["N"]
+        assert len(diag["newton_steps"]) == diag["faces_solved"]
 
     def test_probe_report(self, tmp_path):
         path = _cfg(tmp_path, "c.json", {"probe": {"num_pairs": 3}})

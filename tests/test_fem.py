@@ -11,7 +11,6 @@ from lamedn.fem import (
     build_cache,
     dn_bilinear,
     dn_matrix,
-    dn_operator_norm,
     dn_partials,
     element_gradients,
     green_function,
@@ -140,15 +139,6 @@ class TestDnMatrix:
         assert np.allclose(g, g.T, atol=1e-12)
         assert np.linalg.eigvalsh(g).min() > 0
         assert dn.gram == "spectral-half"
-
-    def test_operator_norm_whitens(self, cache_2x4):
-        g = dn_matrix(assemble(cache_2x4.mesh, L2, cache_2x4)).gram_half
-        assert dn_operator_norm(g, g) == pytest.approx(1.0, rel=1e-10)
-        assert dn_operator_norm(3.0 * g, g) == pytest.approx(3.0, rel=1e-10)
-
-    def test_operator_norm_rejects_indefinite_gram(self):
-        with pytest.raises(ValueError):
-            dn_operator_norm(np.eye(2), np.diag([1.0, -1.0]))
 
     def test_interior_identity(self, cache_2x4, rng):
         for _ in range(3):

@@ -2,6 +2,7 @@
 
 import itertools
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from lamedn.core import DEFAULT_BOX, AdmissibleBox, LameVector, check_admissible
 from lamedn.geometry import build_layered_cube
 from lamedn.inverse import (
     ForwardContext,
+    _face_bounds,
     _face_min,
     _project_box,
     _project_feasible,
@@ -20,6 +22,7 @@ from lamedn.inverse import (
     frechet_derivative,
     lipschitz_probe,
     q0_estimate,
+    q0_search,
     reconstruct,
     star_norm,
 )
@@ -74,6 +77,10 @@ class TestContext:
         ident = ctx_2x4.g_ihalf @ g @ ctx_2x4.g_ihalf
         assert np.allclose(ident, np.eye(g.shape[0]), atol=1e-10)
 
+    def test_indefinite_gram_rejected(self):
+        with pytest.raises(ValueError, match="positive definite"):
+            ForwardContext(cache=SimpleNamespace(gram_half=np.diag([1.0, -1.0])))
+
 
 class TestForwardAndNorm:
     def test_forward_returns_symmetric_dn(self, ctx_2x4):
@@ -88,6 +95,16 @@ class TestForwardAndNorm:
         v = star_norm(ctx_2x4, d)
         assert v > 0
         assert star_norm(ctx_2x4, 2.0 * d) == pytest.approx(2.0 * v, rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["ctx_2x4", "ctx_2x8"])
+    def test_star_norm_matches_svd(self, name, request):
+        ctx = request.getfixturevalue(name)
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            d = (forward(ctx, sample_admissible(2, rng=rng)).entries
+                 - forward(ctx, sample_admissible(2, rng=rng)).entries)
+            svd = np.linalg.norm(ctx.g_ihalf @ d @ ctx.g_ihalf, 2)
+            assert star_norm(ctx, d) == pytest.approx(svd, rel=1e-13)
 
 
 class TestFrechetDerivative:
@@ -178,9 +195,87 @@ class TestQ0:
         mats = [stack[0], -stack[0], stack[1], stack[2]]
         scale = sum(np.linalg.norm(m, 2) for m in mats)
         for p in (0, 1):
-            value, steps = _face_min(mats, p)
+            value, steps, _ = _face_min(mats, p)
             assert 0.0 <= value <= 1e-12 * scale
             assert steps <= 300
+
+
+@pytest.fixture(scope="module")
+def q0_cases(cache_1x4, ctx_2x4):
+    """Per N = 1, 2, 3: a context, three seeded samples and, per sample, the
+    whitened partials and every face's `_face_min` value."""
+    cases = []
+    for ctx in (ForwardContext(cache=cache_1x4), ctx_2x4,
+                inverse.build_context(build_layered_cube(3, 3))):
+        n_sub = ctx.mesh.N
+        rng = np.random.default_rng(300 + n_sub)
+        samples = [sample_admissible(n_sub, rng=rng) for _ in range(3)]
+        mats = [_whitened(ctx, frechet_derivative(ctx, L)) for L in samples]
+        faces = [[_face_min(m, p)[0] for p in range(2 * n_sub)] for m in mats]
+        cases.append((ctx, samples, mats, faces))
+    return cases
+
+
+def count_face_solves(monkeypatch):
+    calls = []
+    face_min = inverse._face_min
+
+    def counting(mats, p):
+        calls.append(p)
+        return face_min(mats, p)
+
+    monkeypatch.setattr(inverse, "_face_min", counting)
+    return calls
+
+
+class TestQ0Pruning:
+    def test_bitwise_equal_to_exhaustive_search(self, q0_cases):
+        for ctx, samples, _, faces in q0_cases:
+            for L, values in zip(samples, faces):
+                assert q0_estimate(ctx, [L]) == min(values)
+            assert q0_estimate(ctx, samples) == min(map(min, faces))
+
+    def test_bounds_below_face_minima(self, q0_cases):
+        for _, _, mats, faces in q0_cases:
+            for m, values in zip(mats, faces):
+                bounds = _face_bounds(m)
+                assert (bounds <= np.array(values)).all(), (bounds, values)
+                assert bounds.max() > 0.0
+
+    def test_zero_minimum_through_search(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        stack = []
+        for _ in range(3):
+            g = rng.standard_normal((12, 12))
+            stack.append(g + g.T)
+        mats = [stack[0], -stack[0], stack[1], stack[2]]
+        scale = sum(np.linalg.norm(m, 2) for m in mats)
+        monkeypatch.setattr(inverse, "frechet_derivative",
+                            lambda ctx, L: SimpleNamespace(mats=mats))
+        ctx = ForwardContext(cache=None, g_ihalf=np.eye(12))
+        assert 0.0 <= q0_estimate(ctx, [None]) <= 1e-12 * scale
+
+    def test_separated_faces_are_skipped(self, ctx_2x4, monkeypatch):
+        # L2's face minima are 4.0e-3, 7.0e-2, 0.60 and 3.1
+        calls = count_face_solves(monkeypatch)
+        search = q0_search(ctx_2x4, [L2])
+        assert len(calls) == search.faces_solved < 4
+        assert search.faces_skipped == 4 - search.faces_solved
+        assert search.newton_steps and len(search.newton_steps) == len(calls)
+        assert 0.0 < search.gap <= 1e-8 * search.q0
+
+    def test_best_carries_across_samples(self, q0_cases, monkeypatch):
+        # sample 2 of N = 2 has a smaller q0 than any face bound of sample 0,
+        # so after it no face of sample 0 is solved
+        ctx, samples, mats, faces = q0_cases[1]
+        assert min(faces[2]) < _face_bounds(mats[0]).min()
+        calls = count_face_solves(monkeypatch)
+        first = q0_search(ctx, samples[2:])
+        both = q0_search(ctx, [samples[2], samples[0]])
+        assert both.q0 == first.q0
+        assert both.faces_solved == first.faces_solved
+        assert both.faces_skipped == first.faces_skipped + 4
+        assert len(calls) == 2 * first.faces_solved
 
 
 class TestLipschitzProbe:
