@@ -1,10 +1,11 @@
 """The two NumPy kernels behind the FEM and the Kelvin fields.
 
-`stiffness_blocks` gives the P1 element blocks that `fem.build_cache` sums
-into the subdomain stiffness matrices.  `kelvin_batch` evaluates one column
-Gamma(x, y) e of the Kelvin matrix at a batch of points; it is the Kelvin
-field of both `ucp.SolutionMember` and `fem.green_function`, and
-`kernels.kelvin_matrix` is its pointwise reference.
+`stiffness_blocks` gives the P1 element blocks, as 3 x 3 node-pair blocks,
+that `fem.build_cache` sums into the subdomain stiffness matrices.
+`kelvin_batch` evaluates one column Gamma(x, y) e of the Kelvin matrix at a
+batch of points; it is the Kelvin field of both `ucp.SolutionMember` and
+`fem.green_function`, and `kernels.kelvin_matrix` is its pointwise
+reference.
 """
 
 from __future__ import annotations
@@ -24,12 +25,13 @@ def stiffness_blocks(coords: np.ndarray):
 
     coords: (nt, 4, 3) vertex coordinates.
     Returns (vol, grads, a_lam, a_mu):
-      vol   (nt,)        signed volumes (positive for valid meshes)
-      grads (nt, 4, 3)   gradients of the four barycentric hat functions
-      a_lam (nt, 12, 12) blocks of int div(phi_p) div(phi_q)
-      a_mu  (nt, 12, 12) blocks of int sym-grad(phi_p) : sym-grad(phi_q)
-    Local dof ordering p = 3*i + a for vertex i, component a; the global
-    stiffness is sum_j lambda_j A_j^lam + 2 mu_j A_j^mu.
+      vol   (nt,)             signed volumes (positive for valid meshes)
+      grads (nt, 4, 3)        gradients of the four barycentric hat functions
+      a_lam (nt, 4, 4, 3, 3)  int div(phi_p) div(phi_q)
+      a_mu  (nt, 4, 4, 3, 3)  int sym-grad(phi_p) : sym-grad(phi_q)
+    The blocks are node-pair blocks: [n, i, k, a, b] couples component a at
+    vertex i with component b at vertex k (dofs p = 3*i + a, q = 3*k + b);
+    the global stiffness is sum_j lambda_j A_j^lam + 2 mu_j A_j^mu.
     """
     coords = np.asarray(coords, dtype=np.float64)
     nt = coords.shape[0]
@@ -43,14 +45,14 @@ def stiffness_blocks(coords: np.ndarray):
     grads[:, 3, :] = inv[:, :, 2]
     grads[:, 0, :] = -(grads[:, 1] + grads[:, 2] + grads[:, 3])
 
-    flat = grads.reshape(nt, 12)
-    a_lam = vol[:, None, None] * np.einsum("np,nq->npq", flat, flat)
-
-    dots = np.einsum("nia,nja->nij", grads, grads)
-    term1 = np.einsum("nij,ab->niajb", dots, np.eye(3)).reshape(nt, 12, 12)
-    outer = np.einsum("nia,njb->niajb", grads, grads)
-    term2 = outer.transpose(0, 3, 2, 1, 4).reshape(nt, 12, 12)
-    a_mu = vol[:, None, None] * 0.5 * (term1 + term2)
+    # a_lam = vol g_ia g_kb; a_mu = vol (delta_ab g_i . g_k + g_ib g_ka) / 2.
+    # Both C-ordered, so that the reshape below is a view of a_mu.
+    vg = vol[:, None, None] * grads
+    a_lam = np.multiply(vg[:, :, None, :, None], grads[:, None, :, None, :],
+                        out=np.empty((nt, 4, 4, 3, 3)))
+    a_mu = np.multiply(a_lam.swapaxes(3, 4), 0.5, out=np.empty_like(a_lam))
+    dots = np.einsum("nia,nka->nik", vg, grads)
+    a_mu.reshape(nt, 4, 4, 9)[..., ::4] += 0.5 * dots[..., None]
     return vol, grads, a_lam, a_mu
 
 

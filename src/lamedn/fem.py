@@ -85,9 +85,10 @@ class FrontPlan:
 
     A factor is one flat array: for each front, from offset[f], its pivot
     block (p x p) and then its update rows (u x p), both column-major.  The
-    K_FF entries of those blocks (lower triangle) come from the subdomain
-    splits: entry i of `fill_lam` and `fill_mu` is added at `fill_dest[i]`,
-    and the first fill_counts[0] entries come from subdomain 1, and so on.
+    K_FF entries of those blocks (lower triangle) come from the summed
+    node-pair blocks: entry i of `fill_lam` and `fill_mu` is added at
+    `fill_dest[i]`, and the first fill_counts[0] entries come from subdomain
+    1, and so on.
     """
 
     start: np.ndarray
@@ -112,7 +113,12 @@ class FrontPlan:
 @dataclass
 class MeshCache:
     """Per-mesh data reused across parameter vectors: subdomain stiffness
-    splits, dof partition, the multifrontal plan and the Sigma Gram matrix."""
+    splits, dof partition, the multifrontal plan and the Sigma Gram matrix.
+
+    The splits a_lam[j], a_mu[j] are CSR with sorted indices and a full
+    3 x 3 block for every node pair that a tet of subdomain j + 1 couples,
+    expanded from the node-pair sums of `_node_pair_blocks`.
+    """
 
     mesh: PartitionedMesh
     vol: np.ndarray
@@ -156,7 +162,8 @@ def _node_dofs(nodes: np.ndarray) -> np.ndarray:
 
 
 def _front_plan(mesh: PartitionedMesh, interior: np.ndarray, sigma: np.ndarray,
-                a_lam: list, a_mu: list):
+                sub: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                lam: np.ndarray, mu: np.ndarray):
     """Free nodes in dissection order (interior, then `sigma`) and the
     `FrontPlan` on the dissection tree.
 
@@ -168,21 +175,12 @@ def _front_plan(mesh: PartitionedMesh, interior: np.ndarray, sigma: np.ndarray,
     upper part share no edge, so a subtree couples only to the separators
     above it and to Sigma: a front's update set is its pivots' later
     neighbours together with its children's update sets.
-    """
-    # The node graph, read off the subdomain splits (all at once): every
-    # element couples all three dofs of its nodes, so each row 3i + a of a
-    # split holds the same 3 x 3 node blocks in column order, and a node pair
-    # (i, k) at offset o of row 3i holds entry (3i + a, 3k + b) at
-    # o + a * (row length) + b.  A pair on an interface occurs once per side.
-    nv = mesh.num_vertices
-    nnz = np.cumsum([0] + [a.nnz for a in a_lam])
-    deg = np.concatenate([(a.indptr[1::3] - a.indptr[:-1:3]) // 3 for a in a_lam])
-    first = np.cumsum(deg) - deg
-    row0 = np.concatenate([a.indptr[:-1:3] + o for a, o in zip(a_lam, nnz)])
-    off = np.repeat(row0 - 3 * first, deg) + 3 * np.arange(first[-1] + deg[-1])
-    rows = np.repeat(np.tile(np.arange(nv), len(a_lam)), deg)
-    cols = np.concatenate([a.indices for a in a_lam])[off] // 3
 
+    The node graph and the entries come from `_node_pair_blocks`: pair m
+    couples nodes rows[m] and cols[m] in subdomain sub[m] + 1 by the 3 x 3
+    blocks lam[m] and mu[m].  A pair on an interface occurs once per side.
+    """
+    nv = mesh.num_vertices
     local = np.full(nv, -1)
     local[interior] = np.arange(interior.size)
     src, dst = local[rows], local[cols]
@@ -229,8 +227,7 @@ def _front_plan(mesh: PartitionedMesh, interior: np.ndarray, sigma: np.ndarray,
     # Lower-triangle node pairs of K_FF, each with the front of its column.
     pr, pc = pos[rows], pos[cols]
     keep = (pc >= 0) & (pr >= pc)
-    off, pr, pc = off[keep], pr[keep], pc[keep]
-    rowlen = np.repeat(3 * deg, deg)[keep]
+    pr, pc = pr[keep], pc[keep]
     f = np.repeat(np.arange(nf), np.diff(bounds))[pc]
     piv = pr < bounds[f + 1]
 
@@ -269,15 +266,13 @@ def _front_plan(mesh: PartitionedMesh, interior: np.ndarray, sigma: np.ndarray,
     ld = np.where(piv, p[f], u[f])
     base = offset[f] + np.where(piv, 0, p[f] ** 2) + 3 * row + 3 * (pc - bounds[f]) * ld
     three = np.arange(3)
-    entry = (off[:, None, None] + rowlen[:, None, None] * three[:, None] + three).ravel()
     plan = FrontPlan(
         start=3 * bounds[:-1], stop=3 * bounds[1:], offset=offset,
         update=np.split(_node_dofs(flat), 3 * np.cumsum(sizes)[:-1]), children=children,
         moves=_extend_add_moves(nf - 1, child, into_pivots, lands),
         fill_dest=(base[:, None, None] + three[:, None] + ld[:, None, None] * three).ravel(),
-        fill_lam=np.concatenate([a.data for a in a_lam])[entry],
-        fill_mu=np.concatenate([a.data for a in a_mu])[entry],
-        fill_counts=9 * np.diff(np.searchsorted(off, nnz)))
+        fill_lam=lam[keep].ravel(), fill_mu=mu[keep].ravel(),
+        fill_counts=9 * np.bincount(sub[keep], minlength=mesh.N))
     return perm, plan
 
 
@@ -324,7 +319,53 @@ def _extend_add_moves(count: int, child: np.ndarray, into_pivots: np.ndarray,
     return moves
 
 
+def _node_pair_blocks(mesh: PartitionedMesh, blk_lam: np.ndarray, blk_mu: np.ndarray):
+    """The node pairs that the tets of each subdomain couple, with their
+    summed (nt, 4, 4, 3, 3) node-pair element blocks.
+
+    Each tet couples its 16 node pairs (i, k).  The keys (j, i, k) of all
+    tets, one int64 each, are sorted once; a 0/1 matrix S with one row per
+    distinct key sums the blocks of each key, in tet order, for both splits.
+    Returns (sub, rows, cols, lam, mu) in key order: pair m couples rows[m]
+    and cols[m] in subdomain sub[m] + 1 by the blocks lam[m] and mu[m].
+    """
+    nv = mesh.num_vertices
+    t = mesh.tets.astype(np.int64)
+    sub = mesh.labels.astype(np.int64) - 1
+    keys = ((sub[:, None, None] * nv + t[:, :, None]) * nv + t[:, None, :]).ravel()
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+    s = sp.csr_matrix((np.ones(order.size), order, np.append(first, order.size)),
+                      shape=(first.size, order.size))
+    sub, pair = np.divmod(keys[first], nv * nv)
+    rows, cols = np.divmod(pair, nv)
+    lam, mu = (s @ blk.reshape(-1, 9) for blk in (blk_lam, blk_mu))
+    return sub, rows, cols, lam.reshape(-1, 3, 3), mu.reshape(-1, 3, 3)
+
+
+def _csr_splits(mesh: PartitionedMesh, sub: np.ndarray, rows: np.ndarray,
+                cols: np.ndarray, blocks: np.ndarray) -> list:
+    """One CSR matrix per subdomain from its node-pair blocks, expanded from
+    block rows: sorted indices and a full 3 x 3 block (explicit zeros
+    included) for every coupled node pair."""
+    nv = mesh.num_vertices
+    cut = np.searchsorted(sub, np.arange(mesh.N + 1))
+    splits = []
+    for lo, hi in zip(cut[:-1], cut[1:]):
+        indptr = np.zeros(nv + 1, dtype=np.intp)
+        np.cumsum(np.bincount(rows[lo:hi], minlength=nv), out=indptr[1:])
+        splits.append(sp.bsr_matrix((blocks[lo:hi], cols[lo:hi], indptr),
+                                    shape=(3 * nv, 3 * nv)).tocsr())
+    return splits
+
+
 def build_cache(mesh: PartitionedMesh) -> MeshCache:
+    """Everything about `mesh` that no Lamé vector changes: the element
+    blocks (`backend.stiffness_blocks`), summed per node pair over one sort
+    of the node-pair keys; from those sums the subdomain splits and the node
+    graph's nested-dissection order and `FrontPlan`; and the Sigma Gram
+    matrix."""
     sets = mesh.node_sets()
     interior, sigma, zero = sets["interior"], sets["sigma"], sets["zero"]
 
@@ -332,21 +373,11 @@ def build_cache(mesh: PartitionedMesh) -> MeshCache:
     if (vol <= 1e-14).any():
         raise ValueError("degenerate tet (volume <= 1e-14)")
 
-    ndof = 3 * mesh.num_vertices
-    dofs = (3 * mesh.tets[:, :, None] + np.arange(3)).reshape(-1, 12)
-    rows = np.repeat(dofs, 12, axis=1).ravel()
-    cols = np.tile(dofs, (1, 12)).ravel()
+    sub, rows, cols, lam, mu = _node_pair_blocks(mesh, blk_lam, blk_mu)
+    a_lam = _csr_splits(mesh, sub, rows, cols, lam)
+    a_mu = _csr_splits(mesh, sub, rows, cols, mu)
 
-    a_lam, a_mu = [], []
-    for j in range(1, mesh.N + 1):
-        sel = mesh.labels == j
-        idx = np.repeat(sel, 144)
-        a_lam.append(sp.coo_matrix(
-            (blk_lam[sel].ravel(), (rows[idx], cols[idx])), shape=(ndof, ndof)).tocsr())
-        a_mu.append(sp.coo_matrix(
-            (blk_mu[sel].ravel(), (rows[idx], cols[idx])), shape=(ndof, ndof)).tocsr())
-
-    free_nodes, fronts = _front_plan(mesh, interior, sigma, a_lam, a_mu)
+    free_nodes, fronts = _front_plan(mesh, interior, sigma, sub, rows, cols, lam, mu)
     boundary = np.sort(np.concatenate([sigma, zero]))
     gram = _sigma_gram(mesh, sigma)
     return MeshCache(

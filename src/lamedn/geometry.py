@@ -95,10 +95,8 @@ class PartitionedMesh:
             nv = self.num_vertices
             on_boundary = np.zeros(nv, dtype=bool)
             on_nonsigma = np.zeros(nv, dtype=bool)
-            for face, tag in zip(self.boundary_faces, self.boundary_tags):
-                on_boundary[face] = True
-                if tag != TAG_SIGMA:
-                    on_nonsigma[face] = True
+            on_boundary[self.boundary_faces] = True
+            on_nonsigma[self.boundary_faces[self.boundary_tags != TAG_SIGMA]] = True
             sigma = np.flatnonzero(on_boundary & ~on_nonsigma)
             zero = np.flatnonzero(on_nonsigma)
             interior = np.flatnonzero(~on_boundary)
@@ -220,10 +218,19 @@ def _tet_faces(tets: np.ndarray) -> np.ndarray:
     ])
 
 
+def _face_keys(faces: np.ndarray, nv: int) -> np.ndarray:
+    """One int64 key per face, (a*nv + b)*nv + c of its sorted vertices
+    a <= b <= c < nv: two faces share a key iff they share their vertices."""
+    if nv ** 3 - 1 > np.iinfo(np.int64).max:
+        raise ValueError(f"{nv} vertices overflow the int64 face keys")
+    a, b, c = np.sort(faces, axis=1).astype(np.int64).T
+    return (a * nv + b) * nv + c
+
+
 def _boundary_faces(tets: np.ndarray) -> np.ndarray:
     faces = _tet_faces(tets)
-    keys = np.sort(faces, axis=1)
-    _, inverse, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
+    keys = _face_keys(faces, int(tets.max()) + 1)
+    _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
     return faces[counts[inverse] == 1].astype(np.int32)
 
 
@@ -233,37 +240,36 @@ def validate_mesh(mesh: PartitionedMesh, tol: float = 1e-12) -> None:
     if (vols <= 1e-14).any():
         raise ValueError("mesh has a degenerate or inverted tet")
     faces = _tet_faces(mesh.tets)
-    keys = np.sort(faces, axis=1)
-    _, inverse, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
-    per_face = counts[inverse]
-    if not np.all((per_face == 1) | (per_face == 2)):
+    keys = _face_keys(faces, mesh.num_vertices)
+    order = np.argsort(keys, kind="stable")
+    # Equal sorted neighbours are the two sides of one face.
+    twin = keys[order[1:]] == keys[order[:-1]]
+    if (twin[1:] & twin[:-1]).any():
         raise ValueError("non-manifold face connectivity")
-    if (per_face == 1).sum() != mesh.boundary_faces.shape[0]:
+    if keys.size - 2 * twin.sum() != mesh.boundary_faces.shape[0]:
         raise ValueError("boundary face list inconsistent with connectivity")
 
     # Interface triangles must lie in their declared planes, and the label
     # adjacency graph through those flat interfaces must chain D_1..D_N with
     # D_1 touching Sigma.  Faces are stacked in 4 blocks of nt, so face fi
     # belongs to tet fi % nt.
-    owners = {}
     nt = mesh.num_tets
-    for fi, k in enumerate(map(tuple, keys)):
-        owners.setdefault(k, []).append(fi % nt)
+    first, second = order[:-1][twin], order[1:][twin]
+    la, lb = mesh.labels[first % nt], mesh.labels[second % nt]
+    cross = la != lb
+    lo, hi = np.minimum(la, lb)[cross], np.maximum(la, lb)[cross]
+    tris = faces[first[cross]]
     edges = set()
-    for k, tlist in owners.items():
-        if len(tlist) == 2:
-            la, lb = mesh.labels[tlist[0]], mesh.labels[tlist[1]]
-            if la != lb:
-                j, kk = int(min(la, lb)), int(max(la, lb))
-                plane = next((p for p in mesh.interfaces if p["j"] == j and p["k"] == kk), None)
-                if plane is None:
-                    raise ValueError(f"labels {j},{kk} touch but declare no interface")
-                pt = np.asarray(plane["point"])
-                nrm = np.asarray(plane["normal"])
-                gap = np.abs((mesh.vertices[list(k)] - pt) @ nrm)
-                if gap.max() > tol:
-                    raise ValueError(f"interface triangle off its plane by {gap.max():.2e}")
-                edges.add((j, kk))
+    for j, kk in sorted(set(zip(lo.tolist(), hi.tolist()))):
+        plane = next((p for p in mesh.interfaces if p["j"] == j and p["k"] == kk), None)
+        if plane is None:
+            raise ValueError(f"labels {j},{kk} touch but declare no interface")
+        pt = np.asarray(plane["point"])
+        nrm = np.asarray(plane["normal"])
+        gap = np.abs((mesh.vertices[tris[(lo == j) & (hi == kk)]] - pt) @ nrm)
+        if gap.max() > tol:
+            raise ValueError(f"interface triangle off its plane by {gap.max():.2e}")
+        edges.add((j, kk))
     N = mesh.N
     reach = {1}
     grew = True
@@ -278,10 +284,9 @@ def validate_mesh(mesh: PartitionedMesh, tol: float = 1e-12) -> None:
     sigma_faces = mesh.boundary_faces[mesh.boundary_tags == TAG_SIGMA]
     if sigma_faces.size == 0:
         raise ValueError("mesh has no Sigma faces")
-    sigma_nodes = set(np.unique(sigma_faces))
-    touch = [mesh.labels[t] for t in range(mesh.num_tets)
-             if sigma_nodes.intersection(mesh.tets[t])]
-    if 1 not in touch:
+    on_sigma = np.zeros(mesh.num_vertices, dtype=bool)
+    on_sigma[sigma_faces] = True
+    if not (mesh.labels[on_sigma[mesh.tets].any(axis=1)] == 1).any():
         raise ValueError("D_1 does not touch Sigma")
 
 

@@ -1,3 +1,12 @@
+import os
+
+# One BLAS/OpenMP thread unless the environment says otherwise, as in the
+# CLI: the small fronts and 3 x 3 to 400 x 400 dense kernels of the suite
+# lose from threading.  Set before NumPy loads, or it has no effect.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from lamedn import fem
+from lamedn import backend, fem
 from lamedn.core import LameVector, poisson_ratio, sample_admissible
 from lamedn.fem import (
     alessandrini_residual,
@@ -301,6 +302,60 @@ class TestFronts:
         got = g.correction.reshape(-1)
         assert np.abs(got[i_idx] - want).max() <= 1e-12 * np.abs(want).max()
         assert np.array_equal(got[b_idx], -gflat[b_idx])
+
+
+def _dof_blocks_reference(vol, grads):
+    """The (nt, 12, 12) element blocks in dof order p = 3*i + a, from the
+    dof-level formula the node-pair blocks replaced."""
+    nt = vol.size
+    flat = grads.reshape(nt, 12)
+    a_lam = vol[:, None, None] * np.einsum("np,nq->npq", flat, flat)
+    dots = np.einsum("nia,nja->nij", grads, grads)
+    term1 = np.einsum("nij,ab->niajb", dots, np.eye(3)).reshape(nt, 12, 12)
+    outer = np.einsum("nia,njb->niajb", grads, grads)
+    term2 = outer.transpose(0, 3, 2, 1, 4).reshape(nt, 12, 12)
+    return a_lam, vol[:, None, None] * 0.5 * (term1 + term2)
+
+
+def _coo_splits(cache):
+    """The subdomain splits assembled from dof-level COO triplets."""
+    mesh = cache.mesh
+    ndof = 3 * mesh.num_vertices
+    dofs = (3 * mesh.tets[:, :, None] + np.arange(3)).reshape(-1, 12)
+    rows = np.repeat(dofs, 12, axis=1).ravel()
+    cols = np.tile(dofs, (1, 12)).ravel()
+    splits = []
+    for blk in _dof_blocks_reference(cache.vol, cache.grads):
+        for j in range(1, mesh.N + 1):
+            sel = mesh.labels == j
+            idx = np.repeat(sel, 144)
+            splits.append(sp.coo_matrix((blk[sel].ravel(), (rows[idx], cols[idx])),
+                                        shape=(ndof, ndof)).tocsr())
+    return splits
+
+
+class TestSplits:
+    """The subdomain splits summed from node-pair blocks against the
+    dof-level COO assembly: the same CSR pattern (sorted indices, a full
+    3 x 3 block per coupled node pair), entries up to summation order."""
+
+    @pytest.mark.parametrize("spec", [(1, 3), (2, 4), (3, 6), (2, 12), "two-cubes"])
+    def test_splits_match_coo_reference(self, spec):
+        cache = build_cache(_mesh(spec))
+        for got, want in zip(cache.a_lam + cache.a_mu, _coo_splits(cache)):
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            assert np.abs(got.data - want.data).max() <= 1e-15 * np.abs(want.data).max()
+
+    def test_node_pair_blocks_match_dof_blocks(self):
+        """On tets off the grid, where no gradient component vanishes."""
+        mesh = build_layered_cube(2, 4)
+        coords = mesh.vertices[mesh.tets]
+        coords = coords + 0.02 * np.random.default_rng(5).standard_normal(coords.shape)
+        vol, grads, a_lam, a_mu = backend.stiffness_blocks(coords)
+        for got, want in zip((a_lam, a_mu), _dof_blocks_reference(vol, grads)):
+            got = got.transpose(0, 1, 3, 2, 4).reshape(-1, 12, 12)
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
 class TestDnPartials:

@@ -9,6 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from lamedn.geometry import (
     TAG_SIGMA,
+    _boundary_faces,
+    _face_keys,
+    _tet_faces,
     augmented_layer_profile,
     build_cone_chain,
     build_layered_cube,
@@ -99,6 +102,39 @@ class TestLayeredCube:
         with pytest.raises(ValueError, match="interface"):
             validate_mesh(mesh)
 
+    def test_validate_catches_interface_off_its_plane(self):
+        mesh = build_layered_cube(2, 4)
+        mesh.interfaces[0]["point"] = [0.5, 0.5, 0.6]
+        with pytest.raises(ValueError, match="off its plane by 1.00e-01"):
+            validate_mesh(mesh)
+
+    def test_validate_catches_d1_away_from_sigma(self):
+        mesh = build_layered_cube(2, 4)
+        mesh.labels = 3 - mesh.labels  # label 1 is now the bottom layer
+        with pytest.raises(ValueError, match="D_1 does not touch Sigma"):
+            validate_mesh(mesh)
+
+    def test_validate_catches_non_manifold_faces(self):
+        mesh = build_layered_cube(1, 2)
+        mesh.tets = np.vstack([mesh.tets, mesh.tets[:1]])
+        mesh.labels = np.append(mesh.labels, 1)
+        with pytest.raises(ValueError, match="non-manifold"):
+            validate_mesh(mesh)
+
+    def test_validate_catches_missing_boundary_face(self):
+        mesh = build_layered_cube(1, 2)
+        mesh.boundary_faces = mesh.boundary_faces[1:]
+        mesh.boundary_tags = mesh.boundary_tags[1:]
+        with pytest.raises(ValueError, match="boundary face list inconsistent"):
+            validate_mesh(mesh)
+
+    def test_validate_catches_broken_chain(self):
+        mesh = build_layered_cube(3, 6)
+        mesh.labels[mesh.labels == 3] = 4  # D_3 is empty, D_4 touches no D_3
+        mesh.interfaces[1] = {**mesh.interfaces[1], "k": 4}
+        with pytest.raises(ValueError, match="chain condition"):
+            validate_mesh(mesh)
+
     def test_save_load_roundtrip(self, tmp_path):
         mesh = build_layered_cube(2, 4, sigma_margin=0.1)
         path = tmp_path / "mesh.json"
@@ -112,6 +148,46 @@ class TestLayeredCube:
         assert back.n == mesh.n
         assert back.sigma_margin == mesh.sigma_margin
         assert back.interfaces[0]["point"][2] == pytest.approx(0.5)
+
+
+def _boundary_faces_reference(tets):
+    """Faces met once, found by a row-wise np.unique of the sorted faces."""
+    faces = _tet_faces(tets)
+    _, inverse, counts = np.unique(np.sort(faces, axis=1), axis=0,
+                                   return_inverse=True, return_counts=True)
+    return faces[counts[inverse] == 1].astype(np.int32)
+
+
+class TestFaceKeys:
+    @pytest.mark.parametrize("N,n", [(1, 3), (2, 4), (3, 6), (2, 12)])
+    def test_boundary_faces_match_row_unique(self, N, n):
+        mesh = build_layered_cube(N, n)
+        want = _boundary_faces_reference(mesh.tets)
+        assert mesh.boundary_faces.dtype == want.dtype
+        assert np.array_equal(mesh.boundary_faces, want)
+
+    def test_boundary_faces_of_shuffled_two_cubes(self):
+        """Two cubes a gap apart, vertices renumbered and tets reordered."""
+        a = build_layered_cube(1, 4)
+        tets = np.vstack([a.tets, a.tets + a.num_vertices])
+        rng = np.random.default_rng(3)
+        tets = rng.permutation(2 * a.num_vertices)[tets][rng.permutation(tets.shape[0])]
+        assert np.array_equal(_boundary_faces(tets), _boundary_faces_reference(tets))
+
+    def test_keys_identify_vertex_sets(self):
+        faces = np.array([[4, 1, 2], [2, 4, 1], [1, 2, 3], [0, 0, 0]])
+        keys = _face_keys(faces, 5)
+        assert keys.tolist() == [(1 * 5 + 2) * 5 + 4] * 2 + [(1 * 5 + 2) * 5 + 3, 0]
+
+    def test_overflow_guard(self):
+        """Keys reach nv**3 - 1, which for nv = 2**21 is the int64 maximum."""
+        nv = 2 ** 21
+        top = _face_keys(np.array([[nv - 1] * 3, [nv - 1, nv - 3, nv - 2]]), nv)
+        assert top.tolist() == [np.iinfo(np.int64).max, ((nv - 3) * nv + nv - 2) * nv + nv - 1]
+        with pytest.raises(ValueError, match="overflow"):
+            _face_keys(np.array([[0, 1, 2]]), nv + 1)
+        with pytest.raises(ValueError, match="overflow"):
+            _boundary_faces(np.array([[0, 1, 2, nv]]))
 
 
 class TestBumpGeometry:
