@@ -317,7 +317,9 @@ def cmd_q0(cfg, out):
     report["num_samples"] = len(samples)
     report["diagnostics"] = {"faces_solved": search.faces_solved,
                              "faces_skipped": search.faces_skipped,
+                             "faces_cut": search.faces_cut,
                              "newton_steps": list(search.newton_steps),
+                             "capped_centrings": search.capped_centrings,
                              "gap": search.gap}
     report["pass"] = bool(floor is None or q0 > float(floor))
     _write_report(out, report)

@@ -131,7 +131,8 @@ class MeshCache:
     boundary_dofs: np.ndarray
     sigma_nodes: np.ndarray
     boundary_nodes: np.ndarray
-    gram_half: np.ndarray  # dense vector Gram on sigma dofs
+    gram_scalar: np.ndarray  # scalar H^{1/2} Gram on sigma nodes
+    gram_half: np.ndarray    # vector Gram on sigma dofs, kron(gram_scalar, I3)
     dn_order: np.ndarray   # interior dofs in dissection order, then sigma_dofs
     fronts: FrontPlan      # multifrontal plan on the dissection tree of dn_order
 
@@ -384,7 +385,8 @@ def build_cache(mesh: PartitionedMesh) -> MeshCache:
         mesh=mesh, vol=vol, grads=grads, a_lam=a_lam, a_mu=a_mu,
         interior_dofs=_node_dofs(interior), sigma_dofs=_node_dofs(sigma),
         zero_dofs=_node_dofs(zero), boundary_dofs=_node_dofs(boundary),
-        sigma_nodes=sigma, boundary_nodes=boundary, gram_half=gram,
+        sigma_nodes=sigma, boundary_nodes=boundary,
+        gram_scalar=gram, gram_half=np.kron(gram, np.eye(3)),
         dn_order=_node_dofs(free_nodes), fronts=fronts,
     )
 
@@ -429,11 +431,12 @@ def _surface_p1(mesh: PartitionedMesh, faces: np.ndarray):
 
 
 def _sigma_gram(mesh: PartitionedMesh, sigma_nodes: np.ndarray) -> np.ndarray:
-    """Discrete H^{1/2}(Sigma) Gram on the Sigma trace dofs.
+    """Discrete scalar H^{1/2}(Sigma) Gram on the Sigma trace nodes.
 
     G = M^{1/2} (M^{-1/2} (M + r0^2 S) M^{-1/2})^{1/2} M^{1/2} with M, S the
-    surface P1 mass/stiffness on the Sigma patch restricted to trace nodes,
-    expanded to vector dofs by Kronecker product with the 3x3 identity.
+    surface P1 mass/stiffness on the Sigma patch restricted to trace nodes.
+    The vector Gram on the trace dofs is its Kronecker product with the 3x3
+    identity.
     """
     faces = mesh.boundary_faces[mesh.boundary_tags == TAG_SIGMA]
     mass, stiff = _surface_p1(mesh, faces)
@@ -450,8 +453,7 @@ def _sigma_gram(mesh: PartitionedMesh, sigma_nodes: np.ndarray) -> np.ndarray:
     w2, u2 = np.linalg.eigh(inner)
     root = (u2 * np.sqrt(np.maximum(w2, 0.0))) @ u2.T
     g = m_half @ root @ m_half
-    g = 0.5 * (g + g.T)
-    return np.kron(g, np.eye(3))
+    return 0.5 * (g + g.T)
 
 
 # ---------------------------------------------------------------------------

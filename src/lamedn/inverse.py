@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,7 +36,10 @@ __all__ = [
 
 @dataclass
 class ForwardContext:
-    """Shared immutable state for repeated forward/derivative evaluations."""
+    """Shared immutable state for repeated forward/derivative evaluations.
+
+    `g_ihalf` is G^{-1/2} for the vector Gram G = g (x) I3 of the cache,
+    formed as g^{-1/2} (x) I3 from one eigh of the scalar Gram g."""
 
     cache: MeshCache
     box: AdmissibleBox = DEFAULT_BOX
@@ -43,10 +47,10 @@ class ForwardContext:
 
     def __post_init__(self):
         if self.g_ihalf is None:
-            w, u = np.linalg.eigh(self.cache.gram_half)
+            w, u = np.linalg.eigh(self.cache.gram_scalar)
             if w.min() <= 0:
                 raise ValueError("Gram matrix must be positive definite")
-            self.g_ihalf = (u / np.sqrt(w)) @ u.T
+            self.g_ihalf = np.kron((u / np.sqrt(w)) @ u.T, np.eye(3))
 
     @property
     def mesh(self) -> PartitionedMesh:
@@ -115,32 +119,78 @@ def _whitened(ctx: ForwardContext, jac: Jacobian) -> list:
     return [ctx.g_ihalf @ jp @ ctx.g_ihalf for jp in jac.mats]
 
 
-def _face_min(mats, p):
+def _fit(stack, p):
+    """Coefficients c minimising ||vec M_p + sum_{q != p} c_q vec M_q||_2, with
+    vec M_q the columns of stack, and that residual vec A(c)."""
+    others = np.delete(stack, p, axis=1)
+    c = -np.linalg.lstsq(others, stack[:, p], rcond=None)[0]
+    return c, stack[:, p] + others @ c
+
+
+def _dual_bound(w, y, dq, v):
+    """The lower bound w.y - v.c - ||c||_1, c = dq @ y, that `_face_min`
+    certifies for its face at one iterate, after scaling y to ||y||_1 = 1."""
+    y = y / (np.abs(y).sum() or 1.0)
+    c = dq @ y
+    return w @ y - v @ c - np.abs(c).sum()
+
+
+class FaceSolve(NamedTuple):
+    """What one `_face_min` call returned and why it stopped."""
+
+    value: float   # attained ||A(v)||_2 at the last iterate
+    steps: int     # Newton steps taken
+    gap: float     # duality gap nu/s of the last centring
+    cut: bool      # stopped by the certificate, not by the gap
+    capped: int    # centrings stopped at the 50-step cap
+
+
+def _face_min(mats, p, best=np.inf):
     """min of ||A(v)||_2, A(v) = M_p + sum_{q != p} v_q M_q, over the face
     |v_q| <= 1, solved as the SDP  min t  s.t.  -tI <= A(v) <= tI.
 
-    Log-barrier path following: for s = s0, 10 s0, ... damped Newton steps
-    centre  s t - log det(tI - A) - log det(tI + A) - sum_q log(1 - v_q^2),
+    Log-barrier path following: for s = 10 s0, 100 s0, ... damped Newton
+    steps centre  s t - log det(tI - A) - log det(tI + A) - sum_q log(1 - v_q^2),
     whose barrier parameter is nu = 2n + 2(d - 1).  Each step costs one eigh
-    of A; in its eigenbasis X the partials enter only through X^T M_q X.
-    Stops once the duality gap nu/s is at most 1e-9 t + 1e-13 sum_q ||M_q||_2;
-    the absolute floor lets a zero minimum terminate and keeps the slacks
-    above the rounding error of forming A, so each centring (capped at 50
-    steps) meets its Newton-decrement tolerance of 1e-2.  Returns the
-    attained value ||A(v)||_2 at the last iterate, the Newton step count and
-    the final duality gap nu/s.
+    of A; in its eigenbasis X the partials enter only through X^T M_q X, and
+    the Newton system is solved in the least-squares sense, so dependent
+    partials (a singular Hessian) still give the minimum-norm step.  The path
+    starts at the Frobenius fit: v0 = clip(c, -0.9, 0.9) with c from `_fit`,
+    t0 = 1.1 ||A(v0)||_2 + floor and s0 = nu / t0.  Stops once the duality gap
+    nu/s is at most 1e-9 t + floor, floor = 1e-13 sum_q ||M_q||_2; the floor
+    lets a zero minimum terminate and keeps the slacks above the rounding
+    error of forming A.  A centring that has not met its Newton-decrement
+    tolerance of 1e-2 after 50 steps ends there and is counted as capped.
+
+    Every iterate also certifies a lower bound on the whole face (Vandenberghe
+    & Boyd 1996: the dual of the spectral norm is the nuclear norm).  With
+    a = 1/(t - w), b = 1/(t + w) from the eigenvalues w of A(v), the matrix
+    Y = X diag(y) X^T with y = (a - b) / ||a - b||_1 has ||Y||_* = 1, so every
+    u on the face gives
+        ||A(u)||_2 >= <Y, A(u)> >= <Y, M_p> - sum_q |<Y, M_q>| = w.y - v.c - ||c||_1
+    with c_q = diag(X^T M_q X).y, already at hand.  Once that bound, less a
+    rounding guard of 1e-12 sum_q ||M_q||_F, reaches `best`, the face cannot
+    attain a value below best and the solve returns, cut.  The bound needs no
+    centring, so the cut is rigorous at any iterate.  It only ends the path,
+    never changes it: with best = inf (the default) the solve runs to the gap.
+
+    Returns a `FaceSolve`: the attained value ||A(v)||_2 at the last iterate,
+    the Newton steps, the last duality gap nu/s, whether the certificate cut
+    the solve, and the number of capped centrings.
     """
+    d = len(mats)
     a_p = mats[p]
     free = np.array([m for q, m in enumerate(mats) if q != p])
     n, m = a_p.shape[0], len(free)
     nu = 2.0 * (n + m)
     floor = 1e-13 * sum(np.linalg.norm(mq, 2) for mq in mats)
+    guard = 1e-12 * sum(np.linalg.norm(mq) for mq in mats)
 
-    v = np.zeros(m)
-    w, x = np.linalg.eigh(a_p)
-    t = 2.0 * np.abs(w).max() + floor
+    v = np.clip(_fit(np.array(mats).reshape(d, -1).T, p)[0], -0.9, 0.9)
+    w, x = np.linalg.eigh(a_p + np.tensordot(v, free, 1))
+    t = 1.1 * np.abs(w).max() + floor
     s = nu / t
-    steps = 0
+    steps = capped = 0
     while nu / s > 1e-9 * t + floor:
         s *= 10.0
         for _ in range(50):
@@ -148,6 +198,8 @@ def _face_min(mats, p):
             b = 1.0 / (t + w)
             bq = x.T @ free @ x
             dq = np.diagonal(bq, axis1=1, axis2=2)
+            if _dual_bound(w, a - b, dq, v) - guard >= best:
+                return FaceSolve(float(np.abs(w).max()), steps, nu / s, True, capped)
             grad = np.concatenate(([s - a.sum() - b.sum()],
                                    dq @ (a - b) + 2.0 * v / (1.0 - v * v)))
             hess = np.empty((m + 1, m + 1))
@@ -155,7 +207,7 @@ def _face_min(mats, p):
             hess[0, 1:] = hess[1:, 0] = dq @ (b * b - a * a)
             hess[1:, 1:] = (np.einsum("qij,rij->qr", bq * (np.outer(a, a) + np.outer(b, b)), bq)
                             + np.diag(2.0 * (1.0 + v * v) / (1.0 - v * v) ** 2))
-            step = -np.linalg.solve(hess, grad)
+            step = -np.linalg.lstsq(hess, grad, rcond=None)[0]
             decrement = np.sqrt(max(-grad @ step, 0.0))
             if decrement <= 1e-2:
                 break
@@ -172,12 +224,14 @@ def _face_min(mats, p):
                 alpha *= 0.5
             t, v, w, x = t_new, v_new, w_new, x_new
             steps += 1
-    return float(np.abs(w).max()), steps, nu / s
+        else:
+            capped += 1
+    return FaceSolve(float(np.abs(w).max()), steps, nu / s, False, capped)
 
 
 def _face_bounds(mats) -> np.ndarray:
     """Lower bounds b_p on the minimum of ||A(v)||_2 over face p (see
-    `_face_min`), one least-squares fit each.
+    `_face_min`), one least-squares fit (`_fit`) each.
 
     With y the unit residual of the fit of vec M_p by the other vec M_q, every
     v with |v_q| <= 1 gives
@@ -192,8 +246,7 @@ def _face_bounds(mats) -> np.ndarray:
     stack = np.array(mats).reshape(d, -1).T
     bounds = np.zeros(d)
     for p in range(d):
-        others = np.delete(stack, p, axis=1)
-        r = stack[:, p] - others @ np.linalg.lstsq(others, stack[:, p], rcond=None)[0]
+        r = _fit(stack, p)[1]
         norm = np.linalg.norm(r)
         if norm > 0.0:
             dots = (r / norm) @ stack
@@ -208,8 +261,10 @@ class Q0Search:
     q0: float
     faces_solved: int
     faces_skipped: int
-    newton_steps: tuple  # per solved face, in the order solved
-    gap: float           # final duality gap nu/s of the face that gave q0
+    newton_steps: tuple    # per solved face, in the order solved
+    gap: float             # final duality gap nu/s of the face that gave q0
+    faces_cut: int         # solved faces stopped by the certificate
+    capped_centrings: int  # centrings stopped at the step cap, over all faces
 
 
 def q0_search(ctx: ForwardContext, samples) -> Q0Search:
@@ -217,12 +272,12 @@ def q0_search(ctx: ForwardContext, samples) -> Q0Search:
     samples = list(samples)
     if not samples:
         raise ValueError("q0_estimate needs at least one sample")
-    best, gap, steps, skipped = np.inf, 0.0, [], 0
+    best, gap, steps, skipped, cut, capped = np.inf, 0.0, [], 0, 0, 0
     for L in samples:
         mats = _whitened(ctx, frechet_derivative(ctx, L))
         if not any(m.any() for m in mats):
             warnings.warn("all-zero Jacobian: q0 = 0", stacklevel=3)
-            return Q0Search(0.0, len(steps), skipped, tuple(steps), 0.0)
+            return Q0Search(0.0, len(steps), skipped, tuple(steps), 0.0, cut, capped)
         bounds = _face_bounds(mats)
         # rounding of the bounds' dot products and of the attained values
         # they are compared with, both of order eps sum_q ||M_q||_F
@@ -231,11 +286,13 @@ def q0_search(ctx: ForwardContext, samples) -> Q0Search:
             if bounds[p] - guard[p] >= best:
                 skipped += 1
                 continue
-            value, k, face_gap = _face_min(mats, p)
-            steps.append(k)
-            if value < best:
-                best, gap = value, face_gap
-    return Q0Search(float(best), len(steps), skipped, tuple(steps), float(gap))
+            face = _face_min(mats, p, best)
+            steps.append(face.steps)
+            cut += face.cut
+            capped += face.capped
+            if face.value < best:
+                best, gap = face.value, face.gap
+    return Q0Search(float(best), len(steps), skipped, tuple(steps), float(gap), cut, capped)
 
 
 def q0_estimate(ctx: ForwardContext, samples) -> float:
@@ -244,21 +301,26 @@ def q0_estimate(ctx: ForwardContext, samples) -> float:
     f(H) = ||sum H_p M_p||_2 (M_p the whitened partials) is convex and even,
     so the sup-norm sphere is covered by the 2N faces H_p = +1.  On each face
     the minimum is the value of a small semidefinite program, solved by a
-    log-barrier Newton method (_face_min) until the duality gap is at most
-    1e-9 times the face value plus a rounding floor of 1e-13 sum_p ||M_p||_2.
-    The result is an attained value of f, so it never undercuts the true
-    minimum (up to rounding) and exceeds it by at most that gap.
+    log-barrier Newton method (`_face_min`) from the face's Frobenius fit
+    until the duality gap is at most 1e-9 times the face value plus a
+    rounding floor of 1e-13 sum_p ||M_p||_2.  The result is an attained value
+    of f, so it never undercuts the true minimum (up to rounding) and exceeds
+    it by at most that gap.
 
-    Not every face is solved.  Per sample, each face p first gets a lower
-    bound b_p from one least-squares fit (`_face_bounds`: ||A||_2 >=
+    Not every face is solved to the end.  Per sample, each face p first gets
+    a lower bound b_p from one least-squares fit (`_face_bounds`: ||A||_2 >=
     ||A||_F / sqrt(n)), and the faces are solved in increasing b_p against
     one running minimum over all samples.  A face whose b_p, less a rounding
     guard of 1e-12 (|b_p| + sum_q ||M_q||_F), is at least that minimum is
-    skipped: its solve would return an attained value >= its true minimum
-    >= b_p, which cannot lower the minimum.  A solved face gives the same
-    value whichever faces are skipped, so the result is bitwise the minimum
-    over all 2N faces of every sample.  `q0_search` also reports the faces solved and
-    skipped, the Newton steps and the winning face's duality gap.
+    skipped.  A face that is solved gets the running minimum too, and stops
+    as soon as one of its iterates certifies, through a nuclear-norm dual
+    point, that the face cannot go below it (the face is cut).  Either way
+    the face's true minimum lies above the running minimum, so it could not
+    have lowered it; a face that is not cut follows the same path and gives
+    the same value whatever the running minimum, so the result is bitwise
+    the minimum over all 2N faces of every sample.  `q0_search` also reports
+    the faces solved, skipped and cut, the Newton steps, the centrings that
+    hit the step cap and the winning face's duality gap.
     """
     return q0_search(ctx, samples).q0
 

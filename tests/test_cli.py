@@ -153,9 +153,12 @@ class TestChecksAndReports:
         assert rep["q0"] > 0
         assert {"mesh", "gram", "q0", "ratios", "iterates", "diagnostics"} <= set(rep)
         diag = rep["diagnostics"]
-        assert set(diag) == {"faces_solved", "faces_skipped", "newton_steps", "gap"}
+        assert set(diag) == {"faces_solved", "faces_skipped", "faces_cut", "newton_steps",
+                             "capped_centrings", "gap"}
         assert diag["faces_solved"] + diag["faces_skipped"] == 2 * rep["mesh"]["N"]
         assert len(diag["newton_steps"]) == diag["faces_solved"]
+        assert 0 <= diag["faces_cut"] < diag["faces_solved"]
+        assert diag["capped_centrings"] >= 0
 
     def test_probe_report(self, tmp_path):
         path = _cfg(tmp_path, "c.json", {"probe": {"num_pairs": 3}})

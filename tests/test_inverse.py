@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from lamedn import fem, inverse
 from lamedn.core import DEFAULT_BOX, AdmissibleBox, LameVector, check_admissible, sample_admissible
@@ -29,6 +30,16 @@ from lamedn.inverse import (
 
 L2 = LameVector([1.0, 0.8], [0.9, 1.2])
 L2B = LameVector([1.1, 0.7], [1.0, 1.1])
+
+
+def dependent_partials():
+    """Four random symmetric 12 x 12 partials with M_1 = -M_0."""
+    rng = np.random.default_rng(5)
+    stack = []
+    for _ in range(3):
+        g = rng.standard_normal((12, 12))
+        stack.append(g + g.T)
+    return [stack[0], -stack[0], stack[1], stack[2]]
 
 
 def count_factorisations(monkeypatch):
@@ -79,7 +90,15 @@ class TestContext:
 
     def test_indefinite_gram_rejected(self):
         with pytest.raises(ValueError, match="positive definite"):
-            ForwardContext(cache=SimpleNamespace(gram_half=np.diag([1.0, -1.0])))
+            ForwardContext(cache=SimpleNamespace(gram_scalar=np.diag([1.0, -1.0])))
+
+    def test_root_from_scalar_gram(self, ctx_2x8):
+        # the vector Gram is the scalar one (x) I3, so its inverse root is too
+        g = ctx_2x8.cache.gram_half
+        assert np.array_equal(g, np.kron(ctx_2x8.cache.gram_scalar, np.eye(3)))
+        w, u = np.linalg.eigh(g)
+        dense = (u / np.sqrt(w)) @ u.T
+        assert np.abs(ctx_2x8.g_ihalf - dense).max() <= 1e-13 * np.abs(dense).max()
 
 
 class TestForwardAndNorm:
@@ -187,17 +206,32 @@ class TestQ0:
     def test_face_solve_terminates_at_zero_minimum(self):
         # M_1 = -M_0: on the faces H_0 = 1 and H_1 = 1 the minimum 0 sits on
         # the face boundary (H_1 = -1, resp. H_0 = -1)
-        rng = np.random.default_rng(5)
-        stack = []
-        for _ in range(3):
-            g = rng.standard_normal((12, 12))
-            stack.append(g + g.T)
-        mats = [stack[0], -stack[0], stack[1], stack[2]]
+        mats = dependent_partials()
         scale = sum(np.linalg.norm(m, 2) for m in mats)
         for p in (0, 1):
-            value, steps, _ = _face_min(mats, p)
+            value, steps = _face_min(mats, p)[:2]
             assert 0.0 <= value <= 1e-12 * scale
             assert steps <= 300
+
+    def test_face_solve_with_dependent_partials(self):
+        # M_1 = -M_0 makes the data part of the Newton Hessian singular on
+        # faces 2 and 3; their minima are checked against a multistart
+        # Nelder-Mead search over the face, at 1e-9 relative
+        mats = dependent_partials()
+        rng = np.random.default_rng(6)
+        for p in (2, 3):
+            free = [m for q, m in enumerate(mats) if q != p]
+
+            def f(u):
+                a = mats[p] + np.tensordot(np.clip(u, -1.0, 1.0), free, 1)
+                return np.abs(np.linalg.eigvalsh(a)).max()
+
+            ref = min(minimize(f, u0, method="Nelder-Mead",
+                               options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 20000}).fun
+                      for u0 in rng.uniform(-0.5, 0.5, (4, 3)))
+            face = _face_min(mats, p)
+            assert not face.cut and face.steps <= 100
+            assert face.value == pytest.approx(ref, rel=1e-9), p
 
 
 @pytest.fixture(scope="module")
@@ -217,12 +251,14 @@ def q0_cases(cache_1x4, ctx_2x4):
 
 
 def count_face_solves(monkeypatch):
+    """Record (p, best, FaceSolve) for every face the search solves."""
     calls = []
     face_min = inverse._face_min
 
-    def counting(mats, p):
-        calls.append(p)
-        return face_min(mats, p)
+    def counting(mats, p, best):
+        face = face_min(mats, p, best)
+        calls.append((p, best, face))
+        return face
 
     monkeypatch.setattr(inverse, "_face_min", counting)
     return calls
@@ -243,12 +279,7 @@ class TestQ0Pruning:
                 assert bounds.max() > 0.0
 
     def test_zero_minimum_through_search(self, monkeypatch):
-        rng = np.random.default_rng(5)
-        stack = []
-        for _ in range(3):
-            g = rng.standard_normal((12, 12))
-            stack.append(g + g.T)
-        mats = [stack[0], -stack[0], stack[1], stack[2]]
+        mats = dependent_partials()
         scale = sum(np.linalg.norm(m, 2) for m in mats)
         monkeypatch.setattr(inverse, "frechet_derivative",
                             lambda ctx, L: SimpleNamespace(mats=mats))
@@ -276,6 +307,50 @@ class TestQ0Pruning:
         assert both.faces_solved == first.faces_solved
         assert both.faces_skipped == first.faces_skipped + 4
         assert len(calls) == 2 * first.faces_solved
+
+
+class TestQ0Certificate:
+    def test_dual_bound_below_face_minimum(self, q0_cases, monkeypatch):
+        # the bound is certified at every iterate, centred or not
+        certs = []
+        dual_bound = inverse._dual_bound
+
+        def recording(*args):
+            certs.append(dual_bound(*args))
+            return certs[-1]
+
+        monkeypatch.setattr(inverse, "_dual_bound", recording)
+        for _, _, mats, faces in q0_cases:
+            for m, values in zip(mats, faces):
+                for p, value in enumerate(values):
+                    certs.clear()
+                    face = _face_min(m, p)
+                    assert face.value == value and not face.cut
+                    assert len(certs) > face.steps
+                    assert max(certs) <= value, (p, max(certs), value)
+
+    def test_losing_faces_cut_above_best(self, ctx_2x4):
+        mats = _whitened(ctx_2x4, frechet_derivative(ctx_2x4, L2))
+        best = q0_estimate(ctx_2x4, [L2])
+        faces = [_face_min(mats, p, best) for p in range(4)]
+        winners = [f for f in faces if not f.cut]
+        assert len(winners) == 1 and winners[0].value == best
+        cut = [f for f in faces if f.cut]
+        assert cut
+        for f in cut:
+            assert f.value > best
+            assert f.gap > 1e-9 * f.value
+
+    def test_search_counts_cut_faces(self, q0_cases, monkeypatch):
+        ctx, samples, _, faces = q0_cases[2]
+        calls = count_face_solves(monkeypatch)
+        search = q0_search(ctx, samples)
+        assert search.q0 == min(map(min, faces))
+        assert search.faces_cut == sum(face.cut for _, _, face in calls) > 0
+        assert search.newton_steps == tuple(face.steps for _, _, face in calls)
+        for _, best, face in calls:
+            assert not face.cut or face.value > best
+        assert search.capped_centrings == sum(face.capped for _, _, face in calls)
 
 
 class TestLipschitzProbe:
