@@ -383,6 +383,8 @@ def cmd_reconstruct(cfg, out):
     tol = float(cfg["tolerances"]["reconstruct_error"])
     report = _base_report(mesh)
     report["iterates"] = trace
+    report["stop_reason"] = trace.stop_reason
+    report["diagnostics"] = {"rejected_candidates": trace.rejected}
     report["final_error"] = err
     report["noise_level"] = noise
     report["tolerance"] = tol

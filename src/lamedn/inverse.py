@@ -30,6 +30,7 @@ __all__ = [
     "q0_search",
     "q0_estimate",
     "lipschitz_probe",
+    "ReconstructTrace",
     "reconstruct",
 ]
 
@@ -145,7 +146,14 @@ class FaceSolve(NamedTuple):
     capped: int    # centrings stopped at the 50-step cap
 
 
-def _face_min(mats, p, best=np.inf):
+def _norm_sums(mats):
+    """(sum_q ||M_q||_2, sum_q ||M_q||_F): the scales of `_face_min`'s
+    rounding floor and guard, one SVD per partial."""
+    return (sum(np.linalg.norm(mq, 2) for mq in mats),
+            sum(np.linalg.norm(mq) for mq in mats))
+
+
+def _face_min(mats, p, best=np.inf, norms=None):
     """min of ||A(v)||_2, A(v) = M_p + sum_{q != p} v_q M_q, over the face
     |v_q| <= 1, solved as the SDP  min t  s.t.  -tI <= A(v) <= tI.
 
@@ -174,6 +182,9 @@ def _face_min(mats, p, best=np.inf):
     centring, so the cut is rigorous at any iterate.  It only ends the path,
     never changes it: with best = inf (the default) the solve runs to the gap.
 
+    `norms` is `_norm_sums(mats)`, formed here when not given; a search over
+    the faces of one stack passes it in so that it is formed once.
+
     Returns a `FaceSolve`: the attained value ||A(v)||_2 at the last iterate,
     the Newton steps, the last duality gap nu/s, whether the certificate cut
     the solve, and the number of capped centrings.
@@ -183,8 +194,9 @@ def _face_min(mats, p, best=np.inf):
     free = np.array([m for q, m in enumerate(mats) if q != p])
     n, m = a_p.shape[0], len(free)
     nu = 2.0 * (n + m)
-    floor = 1e-13 * sum(np.linalg.norm(mq, 2) for mq in mats)
-    guard = 1e-12 * sum(np.linalg.norm(mq) for mq in mats)
+    spectral, frobenius = _norm_sums(mats) if norms is None else norms
+    floor = 1e-13 * spectral
+    guard = 1e-12 * frobenius
 
     v = np.clip(_fit(np.array(mats).reshape(d, -1).T, p)[0], -0.9, 0.9)
     w, x = np.linalg.eigh(a_p + np.tensordot(v, free, 1))
@@ -279,14 +291,15 @@ def q0_search(ctx: ForwardContext, samples) -> Q0Search:
             warnings.warn("all-zero Jacobian: q0 = 0", stacklevel=3)
             return Q0Search(0.0, len(steps), skipped, tuple(steps), 0.0, cut, capped)
         bounds = _face_bounds(mats)
+        norms = _norm_sums(mats)
         # rounding of the bounds' dot products and of the attained values
         # they are compared with, both of order eps sum_q ||M_q||_F
-        guard = 1e-12 * (np.abs(bounds) + sum(np.linalg.norm(m) for m in mats))
+        guard = 1e-12 * (np.abs(bounds) + norms[1])
         for p in np.argsort(bounds, kind="stable"):
             if bounds[p] - guard[p] >= best:
                 skipped += 1
                 continue
-            face = _face_min(mats, p, best)
+            face = _face_min(mats, p, best, norms)
             steps.append(face.steps)
             cut += face.cut
             capped += face.capped
@@ -392,23 +405,42 @@ def _project_feasible(ctx: ForwardContext, arr: np.ndarray) -> np.ndarray:
     return out
 
 
+class ReconstructTrace(list):
+    """The iterates of one `reconstruct` call, one dict per accepted point
+    (keys k, residual, L, and error_inf when the truth is given), with why
+    the iteration stopped and how many candidates it rejected."""
+
+    stop_reason: str = "max_iters"
+    rejected: int = 0
+
+
 def reconstruct(ctx: ForwardContext, Lambda_obs, L_init: LameVector, opts: dict = None):
     """Projected Gauss-Newton on the whitened residual
     r(L) = vec(G^{-1/2} (F(L) - Lambda_obs) G^{-1/2}).
 
-    Levenberg damping: start 1e-6, x10 on rejected steps, /3 on accepted
-    ones; every iterate is the Euclidean projection of the step onto the
-    admissible set.  Stops when the step sup-norm falls below tol (default
-    1e-10) or at max_iters.  Each evaluated point is factored once: the
-    Jacobian of an accepted point comes from the factor its DN matrix was
-    read off, and that factor is dropped before the next candidate is
-    factored.  Returns (L_hat, trace) where trace records residual norms and
-    parameter iterates; adds parameter errors when opts["truth"] is given.
+    Levenberg damping scaled to the residual: the step solves
+    (A^T A + c ||r_k|| I) delta = -A^T r_k, with c = 1e-6 at the start, x10
+    after a rejected candidate and /3 (down to 1e-14) after an accepted one,
+    so the damping vanishes with the residual and exact data converge
+    quadratically (Yamashita & Fukushima 2001).  Every candidate is the
+    Euclidean projection of the step onto the admissible set, and is
+    accepted when it lowers ||r||.  The iteration stops, and the trace's
+    `stop_reason` says why, with
+      - "step_tol": the accepted step's sup-norm is at most tol (default
+        1e-10), or a candidate that close to the last accepted iterate
+        fails to lower the residual (that iterate is returned);
+      - "max_iters": max_iters steps were accepted;
+      - "damping_limit": c passed 1e14 without a descent.
+    Each evaluated point is factored once: the Jacobian of an accepted point
+    comes from the factor its DN matrix was read off, and that factor is
+    dropped before the next candidate is factored, so a call costs
+    len(trace) + trace.rejected factorisations.  Returns (L_hat, trace), a
+    `ReconstructTrace` of residual norms and parameter iterates that adds
+    parameter errors when opts["truth"] is given.
     """
     opts = dict(opts or {})
     tol = float(opts.get("step_tol", 1e-10))
     max_iters = int(opts.get("max_iters", 50))
-    damping = float(opts.get("damping", 1e-6))
     truth = opts.get("truth")
 
     obs = Lambda_obs.entries if isinstance(Lambda_obs, DnMatrix) else np.asarray(Lambda_obs)
@@ -420,35 +452,40 @@ def reconstruct(ctx: ForwardContext, Lambda_obs, L_init: LameVector, opts: dict 
 
     cur = _project_feasible(ctx, L_init.as_array())
     sys, r = evaluate(cur)
-    trace = [_trace_entry(0, r, cur, truth)]
+    trace = ReconstructTrace([_trace_entry(0, r, cur, truth)])
+    c = 1e-6
     for k in range(1, max_iters + 1):
         a = np.column_stack([(gih @ jp @ gih).ravel() for jp in dn_partials(sys)])
         sys = None  # free this factor before a candidate's is built
         ata = a.T @ a
         atr = a.T @ r
-        accepted = False
-        for _ in range(25):
+        r_norm = np.linalg.norm(r)
+        accepted, step_inf = False, np.inf
+        while c <= 1e14:
             try:
-                delta = np.linalg.solve(ata + damping * np.eye(ata.shape[0]), -atr)
+                delta = np.linalg.solve(ata + c * r_norm * np.eye(ata.shape[0]), -atr)
             except np.linalg.LinAlgError:
-                damping *= 10.0
+                c *= 10.0
                 continue
             cand = _project_feasible(ctx, cur + delta)
+            step_inf = np.abs(cand - cur).max()
             sys, r_new = evaluate(cand)
-            if np.linalg.norm(r_new) < np.linalg.norm(r):
+            if np.linalg.norm(r_new) < r_norm:
                 accepted = True
                 break
             sys = None
-            damping *= 10.0
-            if damping > 1e14:
+            trace.rejected += 1
+            if step_inf <= tol:
                 break
+            c *= 10.0
         if not accepted:
+            trace.stop_reason = "step_tol" if step_inf <= tol else "damping_limit"
             break
-        step_inf = np.abs(cand - cur).max()
         cur, r = cand, r_new
-        damping = max(damping / 3.0, 1e-14)
+        c = max(c / 3.0, 1e-14)
         trace.append(_trace_entry(k, r, cur, truth))
         if step_inf <= tol:
+            trace.stop_reason = "step_tol"
             break
     return LameVector.from_array(cur), trace
 

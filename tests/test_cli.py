@@ -118,6 +118,12 @@ class TestDeterminism:
         assert main(["q0", "--config", path, "--out", str(b)]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
 
+    def test_reconstruct_report_is_byte_stable(self, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["reconstruct", "--out", str(a)]) == EXIT_OK
+        assert main(["reconstruct", "--out", str(b)]) == EXIT_OK
+        assert a.read_bytes() == b.read_bytes()
+
     def test_seed_changes_report(self, tmp_path):
         path = _cfg(tmp_path, "c.json", {"identity": {"num_pairs": 2}})
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -176,6 +182,8 @@ class TestChecksAndReports:
         assert rep["final_error"] <= rep["tolerance"]
         assert rep["iterates"][0]["k"] == 0
         assert {"k", "residual", "L"} <= set(rep["iterates"][0])
+        assert rep["stop_reason"] == "step_tol"
+        assert rep["diagnostics"] == {"rejected_candidates": 0}
 
     def test_kernels_csv(self, tmp_path):
         out = tmp_path / "k.csv"

@@ -255,8 +255,8 @@ def count_face_solves(monkeypatch):
     calls = []
     face_min = inverse._face_min
 
-    def counting(mats, p, best):
-        face = face_min(mats, p, best)
+    def counting(mats, p, best, norms):
+        face = face_min(mats, p, best, norms)
         calls.append((p, best, face))
         return face
 
@@ -307,6 +307,16 @@ class TestQ0Pruning:
         assert both.faces_solved == first.faces_solved
         assert both.faces_skipped == first.faces_skipped + 4
         assert len(calls) == 2 * first.faces_solved
+
+    def test_norms_formed_once_per_sample(self, q0_cases, monkeypatch):
+        # a face solve given no norms forms its own through `_norm_sums`
+        sums = []
+        norm_sums = inverse._norm_sums
+        monkeypatch.setattr(inverse, "_norm_sums", lambda mats: sums.append(1) or norm_sums(mats))
+        ctx, samples, _, _ = q0_cases[2]
+        search = q0_search(ctx, samples)
+        assert search.faces_solved > 0
+        assert len(sums) == len(samples)
 
 
 class TestQ0Certificate:
@@ -471,3 +481,70 @@ class TestReconstruct:
         obs = forward(ctx_2x4, L2).entries  # plain ndarray instead of DnMatrix
         got, _ = reconstruct(ctx_2x4, obs, L2B, {"max_iters": 15})
         assert np.abs(got.as_array() - L2.as_array()).max() < 1e-7
+
+    def test_recovers_near_convexity_constraint(self):
+        """Truth and a 20 % start both within 1e-3 of 2 mu_j + 3 lambda_j =
+        beta0 in every layer."""
+        ctx = build_context(build_layered_cube(3, 6))
+        a0, b0 = ctx.box.alpha0, ctx.box.beta0
+        rng = np.random.default_rng(43)
+
+        def near_line(mu):
+            mu = np.clip(mu, a0, 1.0 / a0)
+            return LameVector((b0 + rng.uniform(0.0, 1e-3, 3) - 2.0 * mu) / 3.0, mu)
+
+        truth = near_line(rng.uniform(a0, 1.0 / a0, 3))
+        init = near_line(np.asarray(truth.mus) * (1.0 + 0.2 * rng.uniform(-1.0, 1.0, 3)))
+        got, trace = reconstruct(ctx, forward(ctx, truth), init, {"max_iters": 30})
+        assert np.abs(got.as_array() - truth.as_array()).max() < 1e-10
+        res = [t["residual"] for t in trace]
+        assert all(b < a for a, b in zip(res, res[1:]))
+        assert trace.stop_reason == "step_tol"
+
+    def test_stop_reasons(self, ctx_2x4):
+        obs = forward(ctx_2x4, L2)
+        _, trace = reconstruct(ctx_2x4, obs, L2B, {"max_iters": 2})
+        assert (len(trace), trace.stop_reason) == (3, "max_iters")
+        _, trace = reconstruct(ctx_2x4, obs, L2B, {"max_iters": 20})
+        assert trace.stop_reason == "step_tol"
+        # a negative tolerance never stops on the step: past convergence no
+        # candidate lowers the residual, and the damping ramps to its limit
+        got, trace = reconstruct(ctx_2x4, obs, L2B, {"max_iters": 20, "step_tol": -1.0})
+        assert trace.stop_reason == "damping_limit" and trace.rejected > 0
+        assert np.abs(got.as_array() - L2.as_array()).max() < 1e-10
+
+    def test_start_at_truth_stops_after_one_candidate(self, ctx_2x4, monkeypatch):
+        """Zero residual: the first candidate is the start itself, does not
+        lower the residual, and ends the iteration instead of ramping the
+        damping."""
+        obs = forward(ctx_2x4, L2)
+        calls = count_factorisations(monkeypatch)
+        got, trace = reconstruct(ctx_2x4, obs, L2, {"max_iters": 20})
+        assert got == L2
+        assert (len(trace), trace.rejected, trace.stop_reason) == (1, 1, "step_tol")
+        assert len(calls) == 2
+
+    def test_criterion_08_inputs_in_few_factorisations(self, ctx_2x8, monkeypatch):
+        """Criterion 8's inputs (tests/test_acceptance.py).  Residual-scaled
+        damping converges on the exact data in five iterations, where an
+        absolute damping of 1e-6 took six; on the noisy data, stopping at
+        the tolerance instead of ramping the damping halves the
+        factorisations (absolute damping: 30)."""
+        rng = np.random.default_rng(31)
+        truth = sample_admissible(2, rng=rng)
+        obs = forward(ctx_2x8, truth)
+        init = LameVector.from_array(_project_feasible(
+            ctx_2x8, truth.as_array() * (1.0 + 0.2 * rng.uniform(-1, 1, 4))))
+        _, trace = reconstruct(ctx_2x8, obs, init, {"max_iters": 30, "truth": truth})
+        res = [t["residual"] for t in trace]
+        assert trace[-1]["k"] <= 5 and trace[-1]["error_inf"] <= 1e-12
+        assert all(b < a for a, b in zip(res, res[1:]))
+
+        raw = rng.standard_normal(obs.entries.shape)
+        raw = 0.5 * (raw + raw.T)
+        pert = ctx_2x8.cache.gram_half @ raw @ ctx_2x8.cache.gram_half
+        pert *= 0.01 * star_norm(ctx_2x8, obs.entries) / star_norm(ctx_2x8, pert)
+        calls = count_factorisations(monkeypatch)
+        _, trace = reconstruct(ctx_2x8, obs.entries + pert, init, {"max_iters": 30})
+        assert trace.stop_reason == "step_tol"
+        assert len(calls) == len(trace) + trace.rejected <= 16
