@@ -45,7 +45,7 @@ _DEFAULTS = {
     "kernels": {"mu": 1.0, "nu": 0.25, "mu_low": 2.0, "nu_low": 0.35,
                 "variant": "as-printed", "c": 0.5,
                 "x1": [-1.0, 1.0, 9], "x3": [0.0, 1.0, 5]},
-    "q0": {"num_samples": 2},
+    "q0": {"num_samples": 2, "samples": "seeded"},   # or "vertices"
     "probe": {"num_pairs": 10},
     "reconstruct": {"noise_level": 0.0, "init_spread": 0.2, "max_iters": 40,
                     "step_tol": 1e-10},
@@ -122,6 +122,8 @@ def _validate_config(cfg):
             raise ConfigError("lambdas and mus must have equal length")
     if not isinstance(cfg["seed"], int):
         raise ConfigError("seed must be an integer")
+    if cfg["q0"]["samples"] not in ("seeded", "vertices"):
+        raise ConfigError('q0 samples must be "seeded" or "vertices"')
 
 
 def _get_mesh(cfg):
@@ -201,6 +203,19 @@ def _sample_vectors(count, n_layers, box, seed):
     import numpy as np
     rng = np.random.default_rng(seed)
     return [sample_admissible(n_layers, box, rng) for _ in range(count)]
+
+
+def _vertex_vectors(n_layers, box):
+    """The 4^N vectors whose layers sit at the vertices of the admissible
+    (lambda, mu) polygon: mu at alpha0 or 1/alpha0, lambda at 1/alpha0 or
+    on the convexity line 2 mu + 3 lambda = beta0."""
+    from .core import LameVector
+    import itertools
+    a0, b0 = box.alpha0, box.beta0
+    corners = [(1.0 / a0, a0), (1.0 / a0, 1.0 / a0),
+               ((b0 - 2.0 / a0) / 3.0, 1.0 / a0), ((b0 - 2.0 * a0) / 3.0, a0)]
+    return [LameVector([c[0] for c in layers], [c[1] for c in layers])
+            for layers in itertools.product(corners, repeat=n_layers)]
 
 
 # ---------------------------------------------------------------------------
@@ -308,19 +323,32 @@ def cmd_q0(cfg, out):
     mesh = _get_mesh(cfg)
     box = _get_box(cfg)
     ctx = build_context(mesh, box)
-    samples = _sample_vectors(cfg["q0"]["num_samples"], mesh.N, box, cfg["seed"])
+    if cfg["q0"]["samples"] == "vertices":
+        samples = _vertex_vectors(mesh.N, box)
+    else:
+        samples = _sample_vectors(cfg["q0"]["num_samples"], mesh.N, box, cfg["seed"])
     search = q0_search(ctx, samples)
     q0 = search.q0
     floor = cfg["tolerances"]["q0_positive"]
     report = _base_report(mesh)
     report["q0"] = q0
+    report["inv_q0"] = 1.0 / q0 if q0 > 0.0 else None
+    report["samples"] = cfg["q0"]["samples"]
     report["num_samples"] = len(samples)
     report["diagnostics"] = {"faces_solved": search.faces_solved,
                              "faces_skipped": search.faces_skipped,
                              "faces_cut": search.faces_cut,
+                             "faces_certified": search.faces_certified,
                              "newton_steps": list(search.newton_steps),
+                             "lp_steps": search.lp_steps,
                              "capped_centrings": search.capped_centrings,
-                             "gap": search.gap}
+                             "gap": search.gap,
+                             "sample": search.sample,
+                             "L": [float(u) for u in samples[search.sample].as_array()],
+                             "face": search.face,
+                             "sign": search.sign,
+                             "v": list(search.v),
+                             "h": [float(u) for u in search.h]}
     report["pass"] = bool(floor is None or q0 > float(floor))
     _write_report(out, report)
     if not report["pass"]:

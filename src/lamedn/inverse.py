@@ -129,7 +129,7 @@ def _fit(stack, p):
 
 
 def _dual_bound(w, y, dq, v):
-    """The lower bound w.y - v.c - ||c||_1, c = dq @ y, that `_face_min`
+    """The lower bound w.y - v.c - ||c||_1, c = dq @ y, that `_barrier`
     certifies for its face at one iterate, after scaling y to ||y||_1 = 1."""
     y = y / (np.abs(y).sum() or 1.0)
     c = dq @ y
@@ -137,108 +137,177 @@ def _dual_bound(w, y, dq, v):
 
 
 class FaceSolve(NamedTuple):
-    """What one `_face_min` call returned and why it stopped."""
+    """What one `_barrier` run returned and why it stopped."""
 
-    value: float   # attained ||A(v)||_2 at the last iterate
-    steps: int     # Newton steps taken
+    value: float   # max |w| at the last iterate: ||A(v)||_2 for a face solve
+    steps: int     # Newton steps taken, predictor steps included
     gap: float     # duality gap nu/s of the last centring
     cut: bool      # stopped by the certificate, not by the gap
     capped: int    # centrings stopped at the 50-step cap
+    v: np.ndarray  # the last iterate's free coordinates
+    sign: float    # sign of the w of largest modulus at the last iterate
 
 
 def _norm_sums(mats):
-    """(sum_q ||M_q||_2, sum_q ||M_q||_F): the scales of `_face_min`'s
+    """(sum_q ||M_q||_2, sum_q ||M_q||_F): the scales of `_barrier`'s
     rounding floor and guard, one SVD per partial."""
     return (sum(np.linalg.norm(mq, 2) for mq in mats),
             sum(np.linalg.norm(mq) for mq in mats))
 
 
-def _face_min(mats, p, best=np.inf, norms=None):
-    """min of ||A(v)||_2, A(v) = M_p + sum_{q != p} v_q M_q, over the face
-    |v_q| <= 1, solved as the SDP  min t  s.t.  -tI <= A(v) <= tI.
+def _barrier(spectrum, project, v, w, x, best, norms):
+    """Log-barrier path following for  min t  s.t.  -t <= w_i(v) <= t,
+    |v_q| <= 1, where w(v) and x(v) = `spectrum(v)` are the eigenvalues and
+    eigenvectors of A(v) (the face SDP of `_face_min`) or a linear w with no
+    x (the diagonal LP of `_diagonal_screen`), and `project(x, a, b)` gives
+    the diagonal projections dq (m x n) and the data block of the Newton
+    Hessian for the weights a, b.
 
-    Log-barrier path following: for s = 10 s0, 100 s0, ... damped Newton
-    steps centre  s t - log det(tI - A) - log det(tI + A) - sum_q log(1 - v_q^2),
-    whose barrier parameter is nu = 2n + 2(d - 1).  Each step costs one eigh
-    of A; in its eigenbasis X the partials enter only through X^T M_q X, and
-    the Newton system is solved in the least-squares sense, so dependent
-    partials (a singular Hessian) still give the minimum-norm step.  The path
-    starts at the Frobenius fit: v0 = clip(c, -0.9, 0.9) with c from `_fit`,
-    t0 = 1.1 ||A(v0)||_2 + floor and s0 = nu / t0.  Stops once the duality gap
+    For s = 10 s0, 100 s0, ... damped Newton steps centre
+    s t - sum_i log(t - w_i) - sum_i log(t + w_i) - sum_q log(1 - v_q^2),
+    whose barrier parameter is nu = 2n + 2m; the Newton system is solved in
+    the least-squares sense, so dependent partials (a singular Hessian) still
+    give the minimum-norm step.  The path starts at (v, w, x) with
+    t0 = 1.1 max|w| + floor and s0 = nu / t0, and stops once the duality gap
     nu/s is at most 1e-9 t + floor, floor = 1e-13 sum_q ||M_q||_2; the floor
     lets a zero minimum terminate and keeps the slacks above the rounding
     error of forming A.  A centring that has not met its Newton-decrement
     tolerance of 1e-2 after 50 steps ends there and is counted as capped.
 
-    Every iterate also certifies a lower bound on the whole face (Vandenberghe
-    & Boyd 1996: the dual of the spectral norm is the nuclear norm).  With
-    a = 1/(t - w), b = 1/(t + w) from the eigenvalues w of A(v), the matrix
-    Y = X diag(y) X^T with y = (a - b) / ||a - b||_1 has ||Y||_* = 1, so every
-    u on the face gives
+    Between centrings a predictor follows the central path's tangent,
+    extrapolated in 1/s from s to 10 s: with H the barrier Hessian at the
+    centred point, dz/d(1/s) = s^2 H^-1 e_t gives the step -0.9 s H^-1 e_t
+    in z = (t, v).  Like every step it is halved until the point is strictly
+    feasible, and its spectrum is the next centring's first.
+
+    Every iterate, predicted or not, also certifies a lower bound on the
+    whole face (Vandenberghe & Boyd 1996: the dual of the spectral norm is
+    the nuclear norm).  With a = 1/(t - w), b = 1/(t + w) and
+    y = (a - b) / ||a - b||_1, the matrix Y = X diag(y) X^T has ||Y||_* = 1
+    for any orthonormal X, so every u on the face gives
         ||A(u)||_2 >= <Y, A(u)> >= <Y, M_p> - sum_q |<Y, M_q>| = w.y - v.c - ||c||_1
-    with c_q = diag(X^T M_q X).y, already at hand.  Once that bound, less a
-    rounding guard of 1e-12 sum_q ||M_q||_F, reaches `best`, the face cannot
-    attain a value below best and the solve returns, cut.  The bound needs no
-    centring, so the cut is rigorous at any iterate.  It only ends the path,
-    never changes it: with best = inf (the default) the solve runs to the gap.
+    with c = dq @ y (`_dual_bound`).  Once that bound, less a rounding guard
+    of 1e-12 sum_q ||M_q||_F, reaches `best`, the face cannot attain a value
+    below best and the run returns, cut.  The bound needs no centring, so
+    the cut is rigorous at any iterate.  It only ends the path, never changes
+    it: with best = inf the run goes to the gap.
 
-    `norms` is `_norm_sums(mats)`, formed here when not given; a search over
-    the faces of one stack passes it in so that it is formed once.
-
-    Returns a `FaceSolve`: the attained value ||A(v)||_2 at the last iterate,
-    the Newton steps, the last duality gap nu/s, whether the certificate cut
-    the solve, and the number of capped centrings.
+    `norms` is `_norm_sums` of the face's partials.  Returns a `FaceSolve`.
     """
-    d = len(mats)
-    a_p = mats[p]
-    free = np.array([m for q, m in enumerate(mats) if q != p])
-    n, m = a_p.shape[0], len(free)
-    nu = 2.0 * (n + m)
-    spectral, frobenius = _norm_sums(mats) if norms is None else norms
-    floor = 1e-13 * spectral
-    guard = 1e-12 * frobenius
+    m = v.size
+    nu = 2.0 * (w.size + m)
+    floor = 1e-13 * norms[0]
+    guard = 1e-12 * norms[1]
 
-    v = np.clip(_fit(np.array(mats).reshape(d, -1).T, p)[0], -0.9, 0.9)
-    w, x = np.linalg.eigh(a_p + np.tensordot(v, free, 1))
+    def move(t, v, step, alpha):
+        # a damped Newton step stays inside the Dikin ellipsoid, so for it
+        # halving only guards against rounding at the boundary
+        while True:
+            t_new = t + alpha * step[0]
+            v_new = v + alpha * step[1:]
+            w_new, x_new = spectrum(v_new)
+            if (np.abs(v_new).max() < 1.0
+                    and t_new - w_new.max() > 0.0 and t_new + w_new.min() > 0.0):
+                return t_new, v_new, w_new, x_new
+            alpha *= 0.5
+
+    def solved(cut):
+        sign = 1.0 if w.max() >= -w.min() else -1.0
+        return FaceSolve(float(np.abs(w).max()), steps, nu / s, cut, capped, v, sign)
+
     t = 1.1 * np.abs(w).max() + floor
     s = nu / t
     steps = capped = 0
+    hess = None
+    e_t = np.eye(m + 1)[0]
     while nu / s > 1e-9 * t + floor:
+        if hess is not None:
+            t, v, w, x = move(t, v, -0.9 * s * np.linalg.lstsq(hess, e_t, rcond=None)[0], 1.0)
+            steps += 1
         s *= 10.0
         for _ in range(50):
             a = 1.0 / (t - w)
             b = 1.0 / (t + w)
-            bq = x.T @ free @ x
-            dq = np.diagonal(bq, axis1=1, axis2=2)
+            dq, data = project(x, a, b)
             if _dual_bound(w, a - b, dq, v) - guard >= best:
-                return FaceSolve(float(np.abs(w).max()), steps, nu / s, True, capped)
+                return solved(True)
             grad = np.concatenate(([s - a.sum() - b.sum()],
                                    dq @ (a - b) + 2.0 * v / (1.0 - v * v)))
             hess = np.empty((m + 1, m + 1))
             hess[0, 0] = a @ a + b @ b
             hess[0, 1:] = hess[1:, 0] = dq @ (b * b - a * a)
-            hess[1:, 1:] = (np.einsum("qij,rij->qr", bq * (np.outer(a, a) + np.outer(b, b)), bq)
-                            + np.diag(2.0 * (1.0 + v * v) / (1.0 - v * v) ** 2))
+            hess[1:, 1:] = data + np.diag(2.0 * (1.0 + v * v) / (1.0 - v * v) ** 2)
             step = -np.linalg.lstsq(hess, grad, rcond=None)[0]
             decrement = np.sqrt(max(-grad @ step, 0.0))
             if decrement <= 1e-2:
                 break
-            # the damped step stays inside the Dikin ellipsoid; halving only
-            # guards against rounding at the boundary
-            alpha = 1.0 if decrement < 0.25 else 1.0 / (1.0 + decrement)
-            while True:
-                t_new = t + alpha * step[0]
-                v_new = v + alpha * step[1:]
-                w_new, x_new = np.linalg.eigh(a_p + np.tensordot(v_new, free, 1))
-                if (np.abs(v_new).max() < 1.0
-                        and t_new - w_new[-1] > 0.0 and t_new + w_new[0] > 0.0):
-                    break
-                alpha *= 0.5
-            t, v, w, x = t_new, v_new, w_new, x_new
+            t, v, w, x = move(t, v, step, 1.0 if decrement < 0.25 else 1.0 / (1.0 + decrement))
             steps += 1
         else:
             capped += 1
-    return FaceSolve(float(np.abs(w).max()), steps, nu / s, False, capped)
+            hess = None
+    return solved(False)
+
+
+def _face_start(mats, p):
+    """The start of face p's solves: v0 = clip(c, -0.9, 0.9), c the Frobenius
+    fit of -M_p by the other partials (`_fit`), and the eigenvalues and
+    eigenvectors of A(v0)."""
+    stack = np.array(mats)
+    v = np.clip(_fit(stack.reshape(len(mats), -1).T, p)[0], -0.9, 0.9)
+    return (v, *np.linalg.eigh(stack[p] + np.tensordot(v, np.delete(stack, p, axis=0), 1)))
+
+
+def _face_min(mats, p, best=np.inf, norms=None, start=None):
+    """min of ||A(v)||_2, A(v) = M_p + sum_{q != p} v_q M_q, over the face
+    |v_q| <= 1, solved as the SDP  min t  s.t.  -tI <= A(v) <= tI  by
+    `_barrier` from the Frobenius-fit start (`_face_start`, formed here
+    unless given).
+
+    Each Newton step costs one eigh of A; in its eigenbasis X the partials
+    enter only through X^T M_q X, whose diagonals are the projections dq and
+    which form the Hessian's data block
+    sum_ij (X^T M_q X)_ij (a_i a_j + b_i b_j) (X^T M_r X)_ij.  The face is cut
+    once an iterate certifies that its minimum lies above `best`.  `norms` is
+    `_norm_sums(mats)`, formed here when not given; a search over the faces
+    of one stack passes it in so that it is formed once.
+
+    Returns a `FaceSolve`: the attained value ||A(v)||_2 at the last iterate,
+    the Newton steps, the last duality gap nu/s, whether the certificate cut
+    the solve, the number of capped centrings, the last v and the sign of the
+    eigenvalue of A(v) of largest modulus.
+    """
+    free = np.array([m for q, m in enumerate(mats) if q != p])
+
+    def project(x, a, b):
+        bq = x.T @ free @ x
+        return (np.diagonal(bq, axis1=1, axis2=2),
+                np.einsum("qij,rij->qr", bq * (np.outer(a, a) + np.outer(b, b)), bq))
+
+    return _barrier(lambda v: np.linalg.eigh(mats[p] + np.tensordot(v, free, 1)), project,
+                    *(_face_start(mats, p) if start is None else start), best,
+                    _norm_sums(mats) if norms is None else norms)
+
+
+def _diagonal_screen(mats, p, start, best, norms):
+    """Try to certify, without an eigh, that face p cannot go below `best`.
+
+    With X the eigenvectors of the start A(v0) (`_face_start`), restrict the
+    face to the diagonal of X: min over |v_q| <= 1 of max_i |w_i(v)|,
+    w(v) = m + D^T v, m = diag(X^T M_p X), D_q = diag(X^T M_q X), a linear
+    program that `_barrier` solves with the same iteration as the face.  Its
+    dual points y give Y = X diag(y) X^T with ||Y||_* = ||y||_1, so
+    `_dual_bound` certifies the whole face, not only its diagonal, and the
+    run is cut as soon as that bound, less the face's guard, reaches best.
+    A run that is not cut certifies nothing; its value is the LP's, a lower
+    bound on the face up to the gap, not an attained ||A(v)||_2.
+    """
+    v, _, x = start
+    diag = np.einsum("qij,ij->qj", np.array(mats) @ x, x)
+    m_p, dq = diag[p], np.delete(diag, p, axis=0)
+    return _barrier(lambda u: (m_p + u @ dq, None),
+                    lambda _, a, b: (dq, (dq * (a * a + b * b)) @ dq.T),
+                    v, m_p + v @ dq, None, best, norms)
 
 
 def _face_bounds(mats) -> np.ndarray:
@@ -268,7 +337,9 @@ def _face_bounds(mats) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Q0Search:
-    """What one q0 search found and did: deterministic counts, no timings."""
+    """What one q0 search found and did: deterministic counts, no timings,
+    and where q0 is attained, H* = sign (e_face + sum_{q != face} v_q e_q) at
+    samples[sample]."""
 
     q0: float
     faces_solved: int
@@ -276,20 +347,33 @@ class Q0Search:
     newton_steps: tuple    # per solved face, in the order solved
     gap: float             # final duality gap nu/s of the face that gave q0
     faces_cut: int         # solved faces stopped by the certificate
-    capped_centrings: int  # centrings stopped at the step cap, over all faces
+    capped_centrings: int  # centrings stopped at the step cap, screens included
+    faces_certified: int   # faces dropped by the diagonal-LP pre-screen
+    lp_steps: int          # Newton steps of the pre-screens, over all faces
+    sample: int            # index of the sample that gave q0
+    face: int              # the face H*_face = sign of that sample
+    sign: float            # +1 or -1: the eigenvalue of F'(L)[H*] of largest modulus is sign q0
+    v: tuple               # the other coordinates of sign H*, in the order of the partials
+
+    @property
+    def h(self) -> np.ndarray:
+        """H*, with ||H*||_inf = 1 and ||F'(L)[H*]||_star = q0."""
+        return self.sign * np.insert(np.asarray(self.v, dtype=float), self.face, 1.0)
 
 
 def q0_search(ctx: ForwardContext, samples) -> Q0Search:
-    """The search behind `q0_estimate`, with its counts."""
+    """The search behind `q0_estimate`, with its counts and H*."""
     samples = list(samples)
     if not samples:
         raise ValueError("q0_estimate needs at least one sample")
-    best, gap, steps, skipped, cut, capped = np.inf, 0.0, [], 0, 0, 0
-    for L in samples:
+    best, gap, where, steps = np.inf, 0.0, None, []
+    skipped = cut = capped = certified = lp_steps = 0
+    for i, L in enumerate(samples):
         mats = _whitened(ctx, frechet_derivative(ctx, L))
         if not any(m.any() for m in mats):
             warnings.warn("all-zero Jacobian: q0 = 0", stacklevel=3)
-            return Q0Search(0.0, len(steps), skipped, tuple(steps), 0.0, cut, capped)
+            best, gap, where = 0.0, 0.0, (i, 0, 1.0, np.zeros(len(mats) - 1))
+            break
         bounds = _face_bounds(mats)
         norms = _norm_sums(mats)
         # rounding of the bounds' dot products and of the attained values
@@ -299,13 +383,25 @@ def q0_search(ctx: ForwardContext, samples) -> Q0Search:
             if bounds[p] - guard[p] >= best:
                 skipped += 1
                 continue
-            face = _face_min(mats, p, best, norms)
+            start = _face_start(mats, p)
+            if best < np.inf:
+                screen = _diagonal_screen(mats, p, start, best, norms)
+                lp_steps += screen.steps
+                capped += screen.capped
+                if screen.cut:
+                    certified += 1
+                    continue
+            face = _face_min(mats, p, best, norms, start)
             steps.append(face.steps)
             cut += face.cut
             capped += face.capped
             if face.value < best:
-                best, gap = face.value, face.gap
-    return Q0Search(float(best), len(steps), skipped, tuple(steps), float(gap), cut, capped)
+                best, gap, where = face.value, face.gap, (i, int(p), face.sign, face.v)
+    i, p, sign, v = where
+    return Q0Search(q0=float(best), faces_solved=len(steps), faces_skipped=skipped,
+                    newton_steps=tuple(steps), gap=float(gap), faces_cut=cut,
+                    capped_centrings=capped, faces_certified=certified, lp_steps=lp_steps,
+                    sample=i, face=p, sign=sign, v=tuple(float(u) for u in v))
 
 
 def q0_estimate(ctx: ForwardContext, samples) -> float:
@@ -314,26 +410,33 @@ def q0_estimate(ctx: ForwardContext, samples) -> float:
     f(H) = ||sum H_p M_p||_2 (M_p the whitened partials) is convex and even,
     so the sup-norm sphere is covered by the 2N faces H_p = +1.  On each face
     the minimum is the value of a small semidefinite program, solved by a
-    log-barrier Newton method (`_face_min`) from the face's Frobenius fit
-    until the duality gap is at most 1e-9 times the face value plus a
-    rounding floor of 1e-13 sum_p ||M_p||_2.  The result is an attained value
-    of f, so it never undercuts the true minimum (up to rounding) and exceeds
-    it by at most that gap.
+    log-barrier Newton method with a central-path predictor between
+    centrings (`_face_min`, `_barrier`) from the face's Frobenius fit until
+    the duality gap is at most 1e-9 times the face value plus a rounding
+    floor of 1e-13 sum_p ||M_p||_2.  The result is an attained value of f, so
+    it never undercuts the true minimum (up to rounding) and exceeds it by at
+    most that gap.
 
     Not every face is solved to the end.  Per sample, each face p first gets
     a lower bound b_p from one least-squares fit (`_face_bounds`: ||A||_2 >=
     ||A||_F / sqrt(n)), and the faces are solved in increasing b_p against
     one running minimum over all samples.  A face whose b_p, less a rounding
     guard of 1e-12 (|b_p| + sum_q ||M_q||_F), is at least that minimum is
-    skipped.  A face that is solved gets the running minimum too, and stops
-    as soon as one of its iterates certifies, through a nuclear-norm dual
-    point, that the face cannot go below it (the face is cut).  Either way
-    the face's true minimum lies above the running minimum, so it could not
-    have lowered it; a face that is not cut follows the same path and gives
-    the same value whatever the running minimum, so the result is bitwise
-    the minimum over all 2N faces of every sample.  `q0_search` also reports
-    the faces solved, skipped and cut, the Newton steps, the centrings that
-    hit the step cap and the winning face's duality gap.
+    skipped.  Once the running minimum is finite, a face that is not skipped
+    is pre-screened: the linear program on the diagonal of its start's
+    eigenbasis (`_diagonal_screen`) runs without any eigh, and its dual
+    points certify lower bounds on the whole face; a face so certified to
+    lie above the running minimum is dropped (certified).  A face that is
+    solved gets the running minimum too, from the start the screen used, and
+    stops as soon as one of its iterates certifies, through a nuclear-norm
+    dual point, that the face cannot go below it (the face is cut).  Either
+    way the face's true minimum lies above the running minimum, so it could
+    not have lowered it; a face that is not cut follows the same path and
+    gives the same value whatever the running minimum, so the result is
+    bitwise the minimum over all 2N faces of every sample.  `q0_search` also
+    reports the faces solved, skipped, cut and certified, the Newton steps of
+    the solves and of the screens, the centrings that hit the step cap, the
+    winning face's duality gap and where q0 is attained (H*).
     """
     return q0_search(ctx, samples).q0
 

@@ -53,6 +53,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    def test_unknown_q0_sample_set_rejected(self, tmp_path):
+        path = _cfg(tmp_path, "q.json", {"q0": {"samples": "corners"}})
+        with pytest.raises(ConfigError, match="q0 samples"):
+            load_config(path)
+
     def test_nested_merge_keeps_defaults(self, tmp_path):
         path = _cfg(tmp_path, "m.json", {"tolerances": {"alessandrini": 1e-6}})
         cfg = load_config(path)
@@ -118,6 +123,27 @@ class TestDeterminism:
         assert main(["q0", "--config", path, "--out", str(b)]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
 
+    def test_q0_vertex_report_is_byte_stable(self, tmp_path):
+        # the 16 vertex vectors of N = 2 against the seeded default draws of
+        # the same mesh: the soft-over-stiff vertex gives a q0 ten times
+        # smaller than the two draws
+        mesh = {"N": 2, "n": 4}
+        path = _cfg(tmp_path, "c.json", {"mesh": mesh, "q0": {"samples": "vertices"}})
+        a, b, c = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "c.json"
+        assert main(["q0", "--config", path, "--out", str(a)]) == EXIT_OK
+        assert main(["q0", "--config", path, "--out", str(b)]) == EXIT_OK
+        assert a.read_bytes() == b.read_bytes()
+        rep = json.loads(a.read_text())
+        assert rep["samples"] == "vertices" and rep["num_samples"] == 16
+        assert rep["inv_q0"] == 1.0 / rep["q0"]
+        diag = rep["diagnostics"]
+        assert np.abs(diag["h"]).max() == 1.0 and diag["h"][diag["face"]] == diag["sign"]
+        vertices = {(0.0, 0.5), (2.0, 0.5), (2.0, 2.0), (-1.0, 2.0)}
+        assert {(lam, mu) for lam, mu in zip(diag["L"][:2], diag["L"][2:])} <= vertices
+        seeded = _cfg(tmp_path, "s.json", {"mesh": mesh})
+        assert main(["q0", "--config", seeded, "--out", str(c)]) == EXIT_OK
+        assert rep["q0"] < 0.2 * json.loads(c.read_text())["q0"]
+
     def test_reconstruct_report_is_byte_stable(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert main(["reconstruct", "--out", str(a)]) == EXIT_OK
@@ -159,9 +185,11 @@ class TestChecksAndReports:
         assert rep["q0"] > 0
         assert {"mesh", "gram", "q0", "ratios", "iterates", "diagnostics"} <= set(rep)
         diag = rep["diagnostics"]
-        assert set(diag) == {"faces_solved", "faces_skipped", "faces_cut", "newton_steps",
-                             "capped_centrings", "gap"}
-        assert diag["faces_solved"] + diag["faces_skipped"] == 2 * rep["mesh"]["N"]
+        assert set(diag) == {"faces_solved", "faces_skipped", "faces_cut", "faces_certified",
+                             "newton_steps", "lp_steps", "capped_centrings", "gap",
+                             "sample", "L", "face", "sign", "v", "h"}
+        assert (diag["faces_solved"] + diag["faces_skipped"] + diag["faces_certified"]
+                == 2 * rep["mesh"]["N"])
         assert len(diag["newton_steps"]) == diag["faces_solved"]
         assert 0 <= diag["faces_cut"] < diag["faces_solved"]
         assert diag["capped_centrings"] >= 0

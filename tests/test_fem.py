@@ -1,5 +1,7 @@
 """Forward solver: assembly, DN matrices, Green functions, quadrature, I/O."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -198,16 +200,32 @@ def _two_cubes(n):
         boundary_tags=np.tile(a.boundary_tags, 2), interfaces=[], r0=a.r0, L_lip=a.L_lip, n=n)
 
 
+def _stretched_cube(n, factor):
+    """A one-layer cube stretched along x by `factor`, which makes x the
+    widest coordinate of every node set the dissection splits.  At n = 5 the
+    interior nodes lie on four x-planes: the first split leaves planes 0-1
+    below, and the next one finds every node of plane 1 next to plane 0, so
+    plane 1 is a separator front whose only child is the leaf plane 0."""
+    a = build_layered_cube(1, n)
+    return dataclasses.replace(a, vertices=a.vertices * [factor, 1.0, 1.0])
+
+
 def _mesh(spec):
-    return _two_cubes(4) if spec == "two-cubes" else build_layered_cube(*spec)
+    if spec == "two-cubes":
+        return _two_cubes(4)
+    if spec == "one-child":
+        return _stretched_cube(5, 4.0)
+    return build_layered_cube(*spec)
 
 
 class TestFronts:
     """The multifrontal factor against dense references on meshes whose
     dissection trees differ: a single leaf (n = 3), uneven median splits
-    (odd n), several layers, and a split without separator."""
+    (odd n), several layers, a split without separator, and a separator
+    with a single child."""
 
-    MESHES = [(1, 3), (1, 5), (1, 7), (2, 2), (2, 6), (3, 3), (3, 6), "two-cubes"]
+    MESHES = [(1, 3), (1, 5), (1, 7), (2, 2), (2, 6), (3, 3), (3, 6), "two-cubes",
+              "one-child"]
 
     @pytest.mark.parametrize("spec", MESHES)
     def test_dn_matrix_matches_dense_schur_complement(self, spec):
@@ -244,6 +262,22 @@ class TestFronts:
                 assert c < f
                 assert (plan.update[c] >= plan.stop[c]).all()
                 assert np.isin(plan.update[c], front).all()
+
+    def test_one_child_front_solves_match_dense(self, rng):
+        cache = build_cache(_mesh("one-child"))
+        assert [len(c) for c in cache.fronts.children[:-1]].count(1) == 1
+        sys = assemble(cache.mesh, LameVector([0.7], [1.3]), cache)
+        k, i_idx, b_idx = _dense_interior(sys)
+        k_ii = k[np.ix_(i_idx, i_idx)]
+        psi = random_sigma_trace(cache, rng)
+        want = -np.linalg.solve(k_ii, k[np.ix_(i_idx, cache.sigma_dofs)] @ psi)
+        got = solve_dirichlet(sys, psi).reshape(-1)[i_idx]
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        g = rng.standard_normal((cache.mesh.num_vertices, 3))
+        want = -np.linalg.solve(k_ii, k[np.ix_(i_idx, b_idx)] @ g.reshape(-1)[b_idx])
+        got = solve_with_boundary_values(sys, g).reshape(-1)
+        assert np.abs(got[i_idx] - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.array_equal(got[b_idx], g.reshape(-1)[b_idx])
 
     def test_no_sparse_lu(self, cache_2x8, rng, monkeypatch):
         """Every solve and the DN map and its partials use the one factor."""

@@ -255,8 +255,8 @@ def count_face_solves(monkeypatch):
     calls = []
     face_min = inverse._face_min
 
-    def counting(mats, p, best, norms):
-        face = face_min(mats, p, best, norms)
+    def counting(mats, p, best, norms, start):
+        face = face_min(mats, p, best, norms, start)
         calls.append((p, best, face))
         return face
 
@@ -352,6 +352,11 @@ class TestQ0Certificate:
             assert f.gap > 1e-9 * f.value
 
     def test_search_counts_cut_faces(self, q0_cases, monkeypatch):
+        # the diagonal screen drops every losing face of these samples before
+        # a full step; run it to its gap, uncut, so that they are solved
+        screen = inverse._diagonal_screen
+        monkeypatch.setattr(inverse, "_diagonal_screen",
+                            lambda mats, p, start, best, norms: screen(mats, p, start, np.inf, norms))
         ctx, samples, _, faces = q0_cases[2]
         calls = count_face_solves(monkeypatch)
         search = q0_search(ctx, samples)
@@ -361,6 +366,76 @@ class TestQ0Certificate:
         for _, best, face in calls:
             assert not face.cut or face.value > best
         assert search.capped_centrings == sum(face.capped for _, _, face in calls)
+
+
+def record_screens(monkeypatch):
+    """Record (mats, p, best, FaceSolve) for every diagonal screen."""
+    calls = []
+    screen = inverse._diagonal_screen
+
+    def recording(mats, p, start, best, norms):
+        result = screen(mats, p, start, best, norms)
+        calls.append((mats, p, best, result))
+        return result
+
+    monkeypatch.setattr(inverse, "_diagonal_screen", recording)
+    return calls
+
+
+class TestQ0Screen:
+    def test_certified_faces_lie_above_best(self, q0_cases, monkeypatch):
+        # each face the screen drops has an exhaustive minimum at or above
+        # the running best it was certified against
+        screens = record_screens(monkeypatch)
+        certified = 0
+        for ctx, samples, mats, faces in q0_cases:
+            for order in (samples, samples[::-1]):
+                screens.clear()
+                search = q0_search(ctx, order)
+                assert search.q0 == min(map(min, faces))
+                assert search.faces_certified == sum(r.cut for *_, r in screens)
+                assert search.lp_steps == sum(r.steps for *_, r in screens)
+                for m, p, best, result in screens:
+                    assert np.isfinite(best)
+                    if result.cut:
+                        k = next(k for k, mk in enumerate(mats)
+                                 if all(np.array_equal(a, b) for a, b in zip(m, mk)))
+                        assert faces[k][p] >= best, (k, p, faces[k][p], best)
+                certified += search.faces_certified
+        assert certified > 0
+
+    def test_every_face_accounted_for(self, q0_cases, monkeypatch):
+        screens = record_screens(monkeypatch)
+        calls = count_face_solves(monkeypatch)
+        ctx, samples, _, _ = q0_cases[2]
+        search = q0_search(ctx, samples)
+        assert search.faces_certified > 0
+        assert search.faces_solved == len(calls) == len(screens) - search.faces_certified + 1
+        assert (search.faces_solved + search.faces_skipped + search.faces_certified
+                == 2 * ctx.mesh.N * len(samples))
+
+    def test_screen_without_best_runs_to_its_gap(self, q0_cases):
+        # uncut, the screen's value is the diagonal LP's minimum: a lower
+        # bound on the face minimum, up to the gap
+        for _, _, mats, faces in q0_cases:
+            for m, values in zip(mats, faces):
+                norms = inverse._norm_sums(m)
+                for p, value in enumerate(values):
+                    lp = inverse._diagonal_screen(m, p, inverse._face_start(m, p), np.inf, norms)
+                    assert not lp.cut and lp.gap <= 1e-9 * lp.value + 1e-13 * norms[0]
+                    assert lp.value - lp.gap <= value * (1.0 + 1e-12)
+
+
+class TestQ0Attained:
+    def test_h_star_attains_q0(self, q0_cases):
+        # ||H*||_inf = 1, and the eigenvalue of largest modulus of
+        # sum_p H*_p M_p is +q0 to rounding
+        for ctx, samples, mats, _ in q0_cases:
+            search = q0_search(ctx, samples)
+            h = search.h
+            assert np.abs(h).max() == 1.0 and h[search.face] == search.sign
+            w = np.linalg.eigvalsh(np.tensordot(h, mats[search.sample], 1))
+            assert w[np.abs(w).argmax()] == pytest.approx(search.q0, rel=1e-12, abs=0.0)
 
 
 class TestLipschitzProbe:
