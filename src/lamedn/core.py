@@ -34,7 +34,6 @@ __all__ = [
     "AdmissibleBox",
     "DEFAULT_BOX",
     "IsotropicTensor",
-    "SigmaModulus",
     "tensor_apply",
     "check_admissible",
     "poisson_ratio",
@@ -111,20 +110,6 @@ class IsotropicTensor:
 
     lam: float
     mu: float
-
-
-@dataclass(frozen=True)
-class SigmaModulus:
-    """Holder exponent delta in (0,1) parameterizing the log modulus."""
-
-    delta: float
-
-    def __post_init__(self):
-        if not (0.0 < self.delta < 1.0):
-            raise ValueError("delta must lie in (0, 1)")
-
-    def __call__(self, t: float) -> float:
-        return sigma(t, self.delta)
 
 
 def tensor_apply(t: IsotropicTensor, A) -> np.ndarray:

@@ -63,6 +63,7 @@ __all__ = [
     "load_boundary_vector_csv",
 ]
 
+# Reports name the Sigma Gram construction (`_sigma_gram`) by this label.
 GRAM_LABEL = "spectral-half"
 
 
@@ -650,18 +651,11 @@ def solve_with_boundary_values(sys: FemSystem, g: np.ndarray) -> np.ndarray:
 
 @dataclass
 class DnMatrix:
-    """Discrete local DN map on Sigma trace dofs plus the Gram matrix that
-    defines the operator norm; `gram` names the Gram construction."""
+    """Discrete local DN map on the Sigma trace dofs, in the order of
+    `MeshCache.sigma_dofs`; the Gram matrix of its operator norm is the
+    cache's `gram_half`."""
 
     entries: np.ndarray
-    gram_half: np.ndarray
-    r0: float
-    sigma_nodes: np.ndarray
-    gram: str = GRAM_LABEL
-
-    @property
-    def shape(self):
-        return self.entries.shape
 
 
 def dn_matrix(sys: FemSystem) -> DnMatrix:
@@ -673,9 +667,7 @@ def dn_matrix(sys: FemSystem) -> DnMatrix:
     plus the update matrices of the top fronts.  Exactly symmetric.  Raises
     ValueError where that factorisation does (K_II not positive definite).
     """
-    cache = sys.cache
-    return DnMatrix(entries=sys.cholesky.dn, gram_half=cache.gram_half, r0=sys.mesh.r0,
-                    sigma_nodes=cache.sigma_nodes)
+    return DnMatrix(entries=sys.cholesky.dn)
 
 
 def dn_partials(sys: FemSystem) -> list:
@@ -849,15 +841,9 @@ def green_function(sys: FemSystem, y, l) -> GreenField:
                       d_vec=d_vec, y=y, l=l, label=label)
 
 
-def sensitivity_kernel(mesh: PartitionedMesh, L: LameVector, Lbar: LameVector,
-                       y, z, region_labels=None, cache: MeshCache = None) -> np.ndarray:
-    """3x3 matrix S(y, z): entry [a, b] integrates
-    (C - Cbar) e(G(., y) e_a) : e(Gbar(., z) e_b) over the listed subdomains
-    (all of them when region_labels is None)."""
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if np.allclose(y, z):
-        raise ValueError("source points must differ")
+def _sensitivity(mesh, L, Lbar, y, z, region_labels, cache):
+    """S(y, z) of `sensitivity_kernel` with the Green columns it pairs:
+    (S, [G(., y) e_a], [Gbar(., z) e_b])."""
     if cache is None:
         cache = build_cache(mesh)
     sys_a = assemble(mesh, L, cache)
@@ -872,7 +858,17 @@ def sensitivity_kernel(mesh: PartitionedMesh, L: LameVector, Lbar: LameVector,
             s[a, b] = strain_energy_pairing(cache, dlam, dmu,
                                             ga[a].values, gb[b].values,
                                             region_labels)
-    return s
+    return s, ga, gb
+
+
+def sensitivity_kernel(mesh: PartitionedMesh, L: LameVector, Lbar: LameVector,
+                       y, z, region_labels=None, cache: MeshCache = None) -> np.ndarray:
+    """3x3 matrix S(y, z): entry [a, b] integrates
+    (C - Cbar) e(G(., y) e_a) : e(Gbar(., z) e_b) over the listed subdomains
+    (all of them when region_labels is None).  y and z must differ."""
+    if np.allclose(y, z):
+        raise ValueError("source points must differ")
+    return _sensitivity(mesh, L, Lbar, y, z, region_labels, cache)[0]
 
 
 def sensitivity_identity_check(mesh: PartitionedMesh, L: LameVector,
@@ -880,22 +876,9 @@ def sensitivity_identity_check(mesh: PartitionedMesh, L: LameVector,
     """Full-region sensitivity matrix against the discrete DN-type pairing
     d_y(Gbar) - dbar_z(G); exact up to solver accuracy.  Returns
     (S, pairing, max relative gap)."""
-    if cache is None:
-        cache = build_cache(mesh)
-    sys_a = assemble(mesh, L, cache)
-    sys_b = assemble(mesh, Lbar, cache)
-    ga = [green_function(sys_a, np.asarray(y, float), e) for e in np.eye(3)]
-    gb = [green_function(sys_b, np.asarray(z, float), e) for e in np.eye(3)]
-    dlam = np.array(L.lambdas) - np.array(Lbar.lambdas)
-    dmu = np.array(L.mus) - np.array(Lbar.mus)
-    s = np.empty((3, 3))
-    pairing = np.empty((3, 3))
-    for a in range(3):
-        for b in range(3):
-            s[a, b] = strain_energy_pairing(cache, dlam, dmu,
-                                            ga[a].values, gb[b].values)
-            pairing[a, b] = float(ga[a].d_vec @ gb[b].values.reshape(-1)
-                                  - gb[b].d_vec @ ga[a].values.reshape(-1))
+    s, ga, gb = _sensitivity(mesh, L, Lbar, y, z, None, cache)
+    pairing = np.array([[a.d_vec @ b.values.reshape(-1) - b.d_vec @ a.values.reshape(-1)
+                         for b in gb] for a in ga])
     scale = max(np.abs(s).max(), np.abs(pairing).max(), np.finfo(float).eps)
     return s, pairing, float(np.abs(s - pairing).max() / scale)
 

@@ -16,7 +16,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import DEFAULT_BOX, AdmissibleBox, LameVector
-from .fem import DnMatrix, MeshCache, assemble, build_cache, dn_matrix, dn_partials
+from .fem import (GRAM_LABEL, DnMatrix, MeshCache, assemble, build_cache, dn_matrix,
+                  dn_partials)
 from .geometry import PartitionedMesh
 
 __all__ = [
@@ -91,8 +92,6 @@ class Jacobian:
     flat ordering (lambda_1..lambda_N, mu_1..mu_N)."""
 
     mats: list
-    L: LameVector
-    gram_half: np.ndarray
 
     def directional(self, H) -> np.ndarray:
         H = np.asarray(H, dtype=float)
@@ -109,23 +108,25 @@ def frechet_derivative(ctx: ForwardContext, L: LameVector) -> Jacobian:
     factor that `forward` reads the DN matrix off (one factorisation per
     call)."""
     sys = assemble(ctx.mesh, L, ctx.cache)
-    return Jacobian(mats=dn_partials(sys), L=L, gram_half=ctx.cache.gram_half)
+    return Jacobian(mats=dn_partials(sys))
 
 
 # ---------------------------------------------------------------------------
 # q0: smallest whitened derivative norm over unit sup-norm directions
 # ---------------------------------------------------------------------------
 
-def _whitened(ctx: ForwardContext, jac: Jacobian) -> list:
-    return [ctx.g_ihalf @ jp @ ctx.g_ihalf for jp in jac.mats]
+def _whitened(ctx: ForwardContext, jac: Jacobian) -> np.ndarray:
+    """The (2N, n, n) stack of whitened partials M_p = G^{-1/2} J_p G^{-1/2}
+    that every face of one sample indexes."""
+    return np.array([ctx.g_ihalf @ jp @ ctx.g_ihalf for jp in jac.mats])
 
 
-def _fit(stack, p):
+def _fit(cols, p):
     """Coefficients c minimising ||vec M_p + sum_{q != p} c_q vec M_q||_2, with
-    vec M_q the columns of stack, and that residual vec A(c)."""
-    others = np.delete(stack, p, axis=1)
-    c = -np.linalg.lstsq(others, stack[:, p], rcond=None)[0]
-    return c, stack[:, p] + others @ c
+    vec M_q the columns of cols, and that residual vec A(c)."""
+    others = np.delete(cols, p, axis=1)
+    c = -np.linalg.lstsq(others, cols[:, p], rcond=None)[0]
+    return c, cols[:, p] + others @ c
 
 
 def _dual_bound(w, y, dq, v):
@@ -148,11 +149,11 @@ class FaceSolve(NamedTuple):
     sign: float    # sign of the w of largest modulus at the last iterate
 
 
-def _norm_sums(mats):
+def _norm_sums(stack):
     """(sum_q ||M_q||_2, sum_q ||M_q||_F): the scales of `_barrier`'s
     rounding floor and guard, one SVD per partial."""
-    return (sum(np.linalg.norm(mq, 2) for mq in mats),
-            sum(np.linalg.norm(mq) for mq in mats))
+    return (sum(np.linalg.norm(mq, 2) for mq in stack),
+            sum(np.linalg.norm(mq) for mq in stack))
 
 
 def _barrier(spectrum, project, v, w, x, best, norms):
@@ -249,27 +250,27 @@ def _barrier(spectrum, project, v, w, x, best, norms):
     return solved(False)
 
 
-def _face_start(mats, p):
-    """The start of face p's solves: v0 = clip(c, -0.9, 0.9), c the Frobenius
-    fit of -M_p by the other partials (`_fit`), and the eigenvalues and
-    eigenvectors of A(v0)."""
-    stack = np.array(mats)
-    v = np.clip(_fit(stack.reshape(len(mats), -1).T, p)[0], -0.9, 0.9)
+def _face_start(stack, p, c):
+    """The start of face p's solves: v0 = clip(c, -0.9, 0.9), with c the
+    coefficients of the Frobenius fit of -M_p by the other partials of the
+    stack (`_fit`), and the eigenvalues and eigenvectors of A(v0)."""
+    v = np.clip(c, -0.9, 0.9)
     return (v, *np.linalg.eigh(stack[p] + np.tensordot(v, np.delete(stack, p, axis=0), 1)))
 
 
-def _face_min(mats, p, best=np.inf, norms=None, start=None):
+def _face_min(stack, p, best=np.inf, norms=None, start=None):
     """min of ||A(v)||_2, A(v) = M_p + sum_{q != p} v_q M_q, over the face
-    |v_q| <= 1, solved as the SDP  min t  s.t.  -tI <= A(v) <= tI  by
-    `_barrier` from the Frobenius-fit start (`_face_start`, formed here
-    unless given).
+    |v_q| <= 1 of the (2N, n, n) stack of partials, solved as the SDP
+    min t  s.t.  -tI <= A(v) <= tI  by `_barrier` from the Frobenius-fit
+    start (`_face_start`; given by a search, which fits each face once in
+    `_face_bounds`, and fitted here otherwise).
 
     Each Newton step costs one eigh of A; in its eigenbasis X the partials
     enter only through X^T M_q X, whose diagonals are the projections dq and
     which form the Hessian's data block
     sum_ij (X^T M_q X)_ij (a_i a_j + b_i b_j) (X^T M_r X)_ij.  The face is cut
     once an iterate certifies that its minimum lies above `best`.  `norms` is
-    `_norm_sums(mats)`, formed here when not given; a search over the faces
+    `_norm_sums(stack)`, formed here when not given; a search over the faces
     of one stack passes it in so that it is formed once.
 
     Returns a `FaceSolve`: the attained value ||A(v)||_2 at the last iterate,
@@ -277,19 +278,20 @@ def _face_min(mats, p, best=np.inf, norms=None, start=None):
     the solve, the number of capped centrings, the last v and the sign of the
     eigenvalue of A(v) of largest modulus.
     """
-    free = np.array([m for q, m in enumerate(mats) if q != p])
+    free = np.delete(stack, p, axis=0)
 
     def project(x, a, b):
         bq = x.T @ free @ x
         return (np.diagonal(bq, axis1=1, axis2=2),
                 np.einsum("qij,rij->qr", bq * (np.outer(a, a) + np.outer(b, b)), bq))
 
-    return _barrier(lambda v: np.linalg.eigh(mats[p] + np.tensordot(v, free, 1)), project,
-                    *(_face_start(mats, p) if start is None else start), best,
-                    _norm_sums(mats) if norms is None else norms)
+    if start is None:
+        start = _face_start(stack, p, _fit(stack.reshape(len(stack), -1).T, p)[0])
+    return _barrier(lambda v: np.linalg.eigh(stack[p] + np.tensordot(v, free, 1)), project,
+                    *start, best, _norm_sums(stack) if norms is None else norms)
 
 
-def _diagonal_screen(mats, p, start, best, norms):
+def _diagonal_screen(stack, p, start, best, norms):
     """Try to certify, without an eigh, that face p cannot go below `best`.
 
     With X the eigenvectors of the start A(v0) (`_face_start`), restrict the
@@ -303,16 +305,18 @@ def _diagonal_screen(mats, p, start, best, norms):
     bound on the face up to the gap, not an attained ||A(v)||_2.
     """
     v, _, x = start
-    diag = np.einsum("qij,ij->qj", np.array(mats) @ x, x)
+    diag = np.einsum("qij,ij->qj", stack @ x, x)
     m_p, dq = diag[p], np.delete(diag, p, axis=0)
     return _barrier(lambda u: (m_p + u @ dq, None),
                     lambda _, a, b: (dq, (dq * (a * a + b * b)) @ dq.T),
                     v, m_p + v @ dq, None, best, norms)
 
 
-def _face_bounds(mats) -> np.ndarray:
-    """Lower bounds b_p on the minimum of ||A(v)||_2 over face p (see
-    `_face_min`), one least-squares fit (`_fit`) each.
+def _face_bounds(stack):
+    """Lower bounds b_p on the minimum of ||A(v)||_2 over face p of the
+    (2N, n, n) stack (see `_face_min`), and the coefficients c_p of the
+    least-squares fit (`_fit`) behind each, which `_face_start` starts face p
+    from: one fit per face.
 
     With y the unit residual of the fit of vec M_p by the other vec M_q, every
     v with |v_q| <= 1 gives
@@ -322,17 +326,19 @@ def _face_bounds(mats) -> np.ndarray:
     fit's residual over sqrt(n): the Frobenius bound over unconstrained v.  A
     fit that rounding leaves off only lowers b_p, however ill-conditioned the
     stack, so b_p is a bound up to the rounding of its dot products.
+    Returns (b, c), c[p] the fit coefficients of face p.
     """
-    d, n = len(mats), mats[0].shape[0]
-    stack = np.array(mats).reshape(d, -1).T
-    bounds = np.zeros(d)
+    d, n = stack.shape[:2]
+    cols = stack.reshape(d, -1).T
+    bounds, coefs = np.zeros(d), []
     for p in range(d):
-        r = _fit(stack, p)[1]
+        c, r = _fit(cols, p)
+        coefs.append(c)
         norm = np.linalg.norm(r)
         if norm > 0.0:
-            dots = (r / norm) @ stack
+            dots = (r / norm) @ cols
             bounds[p] = (dots[p] - np.abs(np.delete(dots, p)).sum()) / np.sqrt(n)
-    return bounds
+    return bounds, coefs
 
 
 @dataclass(frozen=True)
@@ -369,13 +375,13 @@ def q0_search(ctx: ForwardContext, samples) -> Q0Search:
     best, gap, where, steps = np.inf, 0.0, None, []
     skipped = cut = capped = certified = lp_steps = 0
     for i, L in enumerate(samples):
-        mats = _whitened(ctx, frechet_derivative(ctx, L))
-        if not any(m.any() for m in mats):
+        stack = _whitened(ctx, frechet_derivative(ctx, L))
+        if not stack.any():
             warnings.warn("all-zero Jacobian: q0 = 0", stacklevel=3)
-            best, gap, where = 0.0, 0.0, (i, 0, 1.0, np.zeros(len(mats) - 1))
+            best, gap, where = 0.0, 0.0, (i, 0, 1.0, np.zeros(len(stack) - 1))
             break
-        bounds = _face_bounds(mats)
-        norms = _norm_sums(mats)
+        bounds, fits = _face_bounds(stack)
+        norms = _norm_sums(stack)
         # rounding of the bounds' dot products and of the attained values
         # they are compared with, both of order eps sum_q ||M_q||_F
         guard = 1e-12 * (np.abs(bounds) + norms[1])
@@ -383,15 +389,15 @@ def q0_search(ctx: ForwardContext, samples) -> Q0Search:
             if bounds[p] - guard[p] >= best:
                 skipped += 1
                 continue
-            start = _face_start(mats, p)
+            start = _face_start(stack, p, fits[p])
             if best < np.inf:
-                screen = _diagonal_screen(mats, p, start, best, norms)
+                screen = _diagonal_screen(stack, p, start, best, norms)
                 lp_steps += screen.steps
                 capped += screen.capped
                 if screen.cut:
                     certified += 1
                     continue
-            face = _face_min(mats, p, best, norms, start)
+            face = _face_min(stack, p, best, norms, start)
             steps.append(face.steps)
             cut += face.cut
             capped += face.capped
@@ -418,12 +424,13 @@ def q0_estimate(ctx: ForwardContext, samples) -> float:
     most that gap.
 
     Not every face is solved to the end.  Per sample, each face p first gets
-    a lower bound b_p from one least-squares fit (`_face_bounds`: ||A||_2 >=
-    ||A||_F / sqrt(n)), and the faces are solved in increasing b_p against
-    one running minimum over all samples.  A face whose b_p, less a rounding
-    guard of 1e-12 (|b_p| + sum_q ||M_q||_F), is at least that minimum is
-    skipped.  Once the running minimum is finite, a face that is not skipped
-    is pre-screened: the linear program on the diagonal of its start's
+    a lower bound b_p from one least-squares fit, the fit its solve starts
+    from (`_face_bounds`: ||A||_2 >= ||A||_F / sqrt(n)), and the faces are
+    solved in increasing b_p against one running minimum over all samples.
+    A face whose b_p, less a rounding guard of 1e-12 (|b_p| + sum_q
+    ||M_q||_F), is at least that minimum is skipped.  Once the running
+    minimum is finite, a face that is not skipped is pre-screened: the
+    linear program on the diagonal of its start's
     eigenbasis (`_diagonal_screen`) runs without any eigh, and its dual
     points certify lower bounds on the whole face; a face so certified to
     lie above the running minimum is dropped (certified).  A face that is
@@ -466,7 +473,7 @@ def lipschitz_probe(ctx: ForwardContext, pairs) -> dict:
         "ratios": [float(r) for r in ratios],
         "skipped": skipped,
         "mesh": ctx.mesh_info(),
-        "gram": "spectral-half",
+        "gram": GRAM_LABEL,
         "gram_hash": ctx.gram_hash(),
     }
 

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from . import backend
-from .core import DEFAULT_BOX, LameVector, sample_admissible
+from .core import DEFAULT_BOX, LameVector, poisson_ratio, sample_admissible
 from .geometry import ConeChain, PartitionedMesh, eta_r
 
 __all__ = [
@@ -160,9 +160,7 @@ def kelvin_ensemble(count, center=(0.0, 0.0, 0.0), radius=1.0, seed=0,
         dist = rng.uniform(*source_band) * radius
         if randomize_moduli:
             L = sample_admissible(1, box, rng)
-            mu = L.mus[0]
-            lam = L.lambdas[0]
-            nu = lam / (2.0 * (lam + mu))
+            mu, nu = L.mus[0], poisson_ratio(L.lambdas[0], L.mus[0])
         else:
             mu, nu = 1.0, 0.3
         members.append(SolutionMember(
@@ -462,6 +460,17 @@ def interface_chain_experiment(mesh: PartitionedMesh, L: LameVector,
     at each interface, sup |v| * dist^{1/2}, a moduli-contrast sweep at a
     fixed probe point, and a source-depth sweep with the fitted exponent of
     |v(probe)| against the near-face smallness.
+
+    `probe` may set `cache` (a `MeshCache` of mesh, built here otherwise) and
+    `allow_single` (run on a one-layer mesh).  The sampling is fixed, with
+    h = 1/n the cell size:
+      - the vertical line x1 = x2 = 1/2 + h/2, and the column e3 of G;
+      - the source on that line at height 1 - 2h;
+      - 25 profile points from z = source - 1.5h down to z = 1.5h;
+      - the contrast sweep multiplies the bottom layer's mu by 1, 2 and 4;
+      - the probe point on the line at z = 2.5h;
+      - the source-depth sweep at 3 depths evenly from 2h to 1/N - 2h below
+        the face (one depth, 2h, where that range is empty).
     """
     from .fem import assemble, build_cache, green_function, locate_point
 
@@ -470,22 +479,18 @@ def interface_chain_experiment(mesh: PartitionedMesh, L: LameVector,
         raise ValueError("interface chain needs at least 2 layers "
                          "(pass allow_single=True to observe a single phase)")
     cache = probe.get("cache") or build_cache(mesh)
-    n = mesh.n
-    h = 1.0 / n
-    lateral = probe.get("lateral", (0.5 + 0.5 * h, 0.5 + 0.5 * h))
-    component = int(probe.get("component", 2))
-    source = probe.get("source")
-    if source is None:
-        source = np.array([lateral[0], lateral[1], 1.0 - 2.0 * h])
-    source = np.asarray(source, dtype=float)
+    h = 1.0 / mesh.n
+    lateral = (0.5 + 0.5 * h, 0.5 + 0.5 * h)
+    component = 2
+    source = np.array([lateral[0], lateral[1], 1.0 - 2.0 * h])
 
     sys = assemble(mesh, L, cache)
     g = green_function(sys, source, component)
     vals = g.values
 
     # Depth profile along the vertical line below the source.
-    z_lo, z_hi = probe.get("z_range", (1.5 * h, source[2] - 1.5 * h))
-    zs = np.linspace(z_hi, z_lo, int(probe.get("profile_points", 25)))
+    z_lo, z_hi = 1.5 * h, source[2] - 1.5 * h
+    zs = np.linspace(z_hi, z_lo, 25)
     line = np.column_stack([np.full_like(zs, lateral[0]),
                             np.full_like(zs, lateral[1]), zs])
     vline = _interp(mesh, cache, vals, line)
@@ -539,16 +544,13 @@ def interface_chain_experiment(mesh: PartitionedMesh, L: LameVector,
 
     sup_scaled = float(np.max(mags * np.sqrt(dists)))
 
-    # Contrast sweep: scale the shear modulus of one layer (default: the
-    # bottom layer, label N) against the fixed top layer.
-    contrasts = probe.get("contrasts", (1.0, 2.0, 4.0))
-    layer = int(probe.get("contrast_layer", L.N))
-    probe_pt = np.array([lateral[0], lateral[1],
-                         float(probe.get("probe_z", z_lo + h))])
+    # Contrast sweep: scale the shear modulus of the bottom layer against the
+    # fixed top layer.
+    probe_pt = np.array([lateral[0], lateral[1], z_lo + h])
     sweep = []
-    for cmul in contrasts:
+    for cmul in (1.0, 2.0, 4.0):
         lams, mus = list(L.lambdas), list(L.mus)
-        mus[layer - 1] *= cmul
+        mus[-1] *= cmul
         g_c = green_function(assemble(mesh, LameVector(lams, mus), cache, warn=False),
                              source, component)
         val = float(np.linalg.norm(_interp(mesh, cache, g_c.values,
@@ -558,13 +560,8 @@ def interface_chain_experiment(mesh: PartitionedMesh, L: LameVector,
     # Source-depth sweep: near-face smallness vs deep response.  Valid source
     # heights keep 2 cells clear of both the observation face and the first
     # interface below it (the top layer spans [1 - 1/N, 1]).
-    depths = probe.get("depths")
-    if depths is None:
-        d_min, d_max = 2.0 * h, 1.0 / mesh.N - 2.0 * h
-        if d_max > d_min + 1e-12:
-            depths = list(np.linspace(d_min, d_max, 3))
-        else:
-            depths = [d_min]
+    d_min, d_max = 2.0 * h, 1.0 / mesh.N - 2.0 * h
+    depths = np.linspace(d_min, d_max, 3) if d_max > d_min + 1e-12 else [d_min]
     ring_r = 4.0 * h
     angles = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
     exponent = None

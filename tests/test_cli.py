@@ -72,6 +72,15 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("payload", [{"q0": {"samplez": "vertices"}}, {"q0": 3},
+                                         {"mesh": {"N": "x"}}, {"box": {"alpha0": "a"}}])
+    def test_bad_section_is_config_error(self, tmp_path, capsys, payload):
+        path = _cfg(tmp_path, "bad.json", payload)
+        code = main(["q0", "--config", path, "--out", str(tmp_path / "o.json")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error")
+        assert not (tmp_path / "o.json").exists()
+
     def test_parameter_layer_mismatch_is_config_error(self, tmp_path, capsys):
         path = _cfg(tmp_path, "p.json",
                     {"parameters": {"lambdas": [1.0, 1.0], "mus": [1.0, 1.0]}})

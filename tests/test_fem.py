@@ -9,6 +9,7 @@ import scipy.sparse as sp
 from lamedn import backend, fem
 from lamedn.core import LameVector, poisson_ratio, sample_admissible
 from lamedn.fem import (
+    GRAM_LABEL,
     alessandrini_residual,
     assemble,
     build_cache,
@@ -25,6 +26,7 @@ from lamedn.fem import (
     save_boundary_vector_csv,
     save_matrix_json,
     sensitivity_identity_check,
+    sensitivity_kernel,
     solve_dirichlet,
     solve_with_boundary_values,
     tet_quadrature,
@@ -96,7 +98,7 @@ class TestDnMatrix:
         assert np.abs(lam - lam.T).max() < 1e-10
         w = np.linalg.eigvalsh(able := 0.5 * (lam + lam.T))
         assert w.min() > 0
-        assert able.shape == dn.shape
+        assert able.shape == dn.entries.shape
 
     def test_homogeneity_exact(self, cache_2x4):
         dn1 = dn_matrix(assemble(cache_2x4.mesh, L2, cache_2x4))
@@ -137,11 +139,10 @@ class TestDnMatrix:
         assert dn_bilinear(sys, psi, phi) == pytest.approx(phi @ lam @ psi, rel=1e-10)
 
     def test_gram_spd_and_label(self, cache_2x4):
-        dn = dn_matrix(assemble(cache_2x4.mesh, L2, cache_2x4))
-        g = dn.gram_half
+        g = cache_2x4.gram_half
         assert np.allclose(g, g.T, atol=1e-12)
         assert np.linalg.eigvalsh(g).min() > 0
-        assert dn.gram == "spectral-half"
+        assert GRAM_LABEL == "spectral-half"
 
     def test_interior_identity(self, cache_2x4, rng):
         for _ in range(3):
@@ -476,6 +477,18 @@ class TestGreenFunction:
             cache_2x8.mesh, L2, L2B, self.Y, [0.5625, 0.5625, 0.75], cache_2x8
         )
         assert gap < 1e-12
+
+    def test_sensitivity_kernel(self, cache_2x8):
+        # the identity check's S, additive over the subdomains
+        z = [0.5625, 0.5625, 0.75]
+        full = sensitivity_kernel(cache_2x8.mesh, L2, L2B, self.Y, z, cache=cache_2x8)
+        s, _, _ = sensitivity_identity_check(cache_2x8.mesh, L2, L2B, self.Y, z, cache_2x8)
+        assert np.array_equal(full, s)
+        parts = [sensitivity_kernel(cache_2x8.mesh, L2, L2B, self.Y, z, [j], cache_2x8)
+                 for j in (1, 2)]
+        assert np.abs(parts[0] + parts[1] - full).max() <= 1e-12 * np.abs(full).max()
+        with pytest.raises(ValueError, match="differ"):
+            sensitivity_kernel(cache_2x8.mesh, L2, L2B, self.Y, self.Y, cache=cache_2x8)
 
     def test_locate_point(self, cache_2x4):
         tet = locate_point(cache_2x4, [0.3, 0.3, 0.9])

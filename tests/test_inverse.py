@@ -33,13 +33,13 @@ L2B = LameVector([1.1, 0.7], [1.0, 1.1])
 
 
 def dependent_partials():
-    """Four random symmetric 12 x 12 partials with M_1 = -M_0."""
+    """A stack of four random symmetric 12 x 12 partials with M_1 = -M_0."""
     rng = np.random.default_rng(5)
     stack = []
     for _ in range(3):
         g = rng.standard_normal((12, 12))
         stack.append(g + g.T)
-    return [stack[0], -stack[0], stack[1], stack[2]]
+    return np.array([stack[0], -stack[0], stack[1], stack[2]])
 
 
 def count_factorisations(monkeypatch):
@@ -274,7 +274,7 @@ class TestQ0Pruning:
     def test_bounds_below_face_minima(self, q0_cases):
         for _, _, mats, faces in q0_cases:
             for m, values in zip(mats, faces):
-                bounds = _face_bounds(m)
+                bounds = _face_bounds(m)[0]
                 assert (bounds <= np.array(values)).all(), (bounds, values)
                 assert bounds.max() > 0.0
 
@@ -299,7 +299,7 @@ class TestQ0Pruning:
         # sample 2 of N = 2 has a smaller q0 than any face bound of sample 0,
         # so after it no face of sample 0 is solved
         ctx, samples, mats, faces = q0_cases[1]
-        assert min(faces[2]) < _face_bounds(mats[0]).min()
+        assert min(faces[2]) < _face_bounds(mats[0])[0].min()
         calls = count_face_solves(monkeypatch)
         first = q0_search(ctx, samples[2:])
         both = q0_search(ctx, [samples[2], samples[0]])
@@ -309,14 +309,17 @@ class TestQ0Pruning:
         assert len(calls) == 2 * first.faces_solved
 
     def test_norms_formed_once_per_sample(self, q0_cases, monkeypatch):
-        # a face solve given no norms forms its own through `_norm_sums`
-        sums = []
-        norm_sums = inverse._norm_sums
+        # a face solve given no norms forms its own through `_norm_sums`, and
+        # one given no start fits its face again through `_fit`
+        sums, fits = [], []
+        norm_sums, fit = inverse._norm_sums, inverse._fit
         monkeypatch.setattr(inverse, "_norm_sums", lambda mats: sums.append(1) or norm_sums(mats))
+        monkeypatch.setattr(inverse, "_fit", lambda cols, p: fits.append(p) or fit(cols, p))
         ctx, samples, _, _ = q0_cases[2]
         search = q0_search(ctx, samples)
         assert search.faces_solved > 0
         assert len(sums) == len(samples)
+        assert fits == list(range(2 * ctx.mesh.N)) * len(samples)
 
 
 class TestQ0Certificate:
@@ -420,8 +423,10 @@ class TestQ0Screen:
         for _, _, mats, faces in q0_cases:
             for m, values in zip(mats, faces):
                 norms = inverse._norm_sums(m)
+                fits = _face_bounds(m)[1]
                 for p, value in enumerate(values):
-                    lp = inverse._diagonal_screen(m, p, inverse._face_start(m, p), np.inf, norms)
+                    start = inverse._face_start(m, p, fits[p])
+                    lp = inverse._diagonal_screen(m, p, start, np.inf, norms)
                     assert not lp.cut and lp.gap <= 1e-9 * lp.value + 1e-13 * norms[0]
                     assert lp.value - lp.gap <= value * (1.0 + 1e-12)
 
@@ -485,7 +490,8 @@ class TestProjection:
     @pytest.mark.parametrize("box", [DEFAULT_BOX, AdmissibleBox(0.3, 1.7), AdmissibleBox(0.9, 0.1)])
     def test_projection_is_nearest_admissible_point(self, ctx_2x4, box):
         """p is the projection of x onto the convex polygon of one layer iff
-        (x - p) . (q - p) <= 0 at each of the polygon's vertices q."""
+        (x - p) . (q - p) <= 0 at each of the polygon's vertices q; projecting
+        p again returns it bit for bit."""
         ctx = ForwardContext(cache=ctx_2x4.cache, box=box)
         a0, b0 = box.alpha0, box.beta0
         corners = np.array([[1 / a0, a0], [1 / a0, 1 / a0],
@@ -497,6 +503,7 @@ class TestProjection:
         lam_mu = out.reshape(2, -1).T
         gap = np.einsum("ni,nqi->nq", x.T - lam_mu, corners[None] - lam_mu[:, None])
         assert gap.max() <= 1e-12
+        assert np.array_equal(_project_feasible(ctx, out), out)
 
 
 class TestReconstruct:
