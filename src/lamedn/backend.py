@@ -3,9 +3,8 @@
 `stiffness_blocks` gives the P1 element blocks, as 3 x 3 node-pair blocks,
 that `fem.build_cache` sums into the subdomain stiffness matrices.
 `kelvin_batch` evaluates one column Gamma(x, y) e of the Kelvin matrix at a
-batch of points; it is the Kelvin field of both `ucp.SolutionMember` and
-`fem.green_function`, and `kernels.kelvin_matrix` is its pointwise
-reference.
+batch of points; it is the Kelvin field of `ucp.SolutionMember`, and
+`kernels.kelvin_matrix` is its pointwise reference.
 """
 
 from __future__ import annotations

@@ -4,9 +4,9 @@ All numerical options live in a JSON config; the only flags are --config,
 --seed (overrides the config seed), --out, and --threads.  Exit codes:
 0 success, 1 a configured acceptance threshold failed, 2 bad config,
 3 numeric failure.  A config is bad when it has an unknown key at any level,
-a section that is not a JSON object, or a mesh, box or parameters value of
-the wrong type or out of range.  Outputs are schema-checked and
-byte-deterministic for a fixed config and seed.
+a section that is not a JSON object, a value of another type than its
+default, or a mesh, box or parameters value out of range.  Outputs are
+schema-checked and byte-deterministic for a fixed config and seed.
 """
 
 from __future__ import annotations
@@ -105,6 +105,29 @@ def load_config(path=None, seed=None) -> dict:
     return cfg
 
 
+# Sections read only by the command bodies, and the tolerances that a None
+# value switches off.
+_COMMAND_SECTIONS = ("tolerances", "identity", "derivative", "kernels", "q0",
+                     "probe", "reconstruct", "ucp")
+_SWITCHED_OFF_BY_NONE = ("q0_positive", "max_ratio_limit")
+
+
+def _same_type(value, default):
+    """Whether a config value has the type of its default: a number for a
+    float, an integer for an int, a string for a string, a list of as many
+    such entries for a list, and a number for a None default."""
+    if default is None:
+        default = 0.0
+    if isinstance(default, list):
+        return (isinstance(value, list) and len(value) == len(default)
+                and all(map(_same_type, value, default)))
+    if isinstance(value, bool):
+        return False
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(default))
+
+
 def _validate_config(cfg):
     """Raise ConfigError on a value out of range or of the wrong type."""
     mesh, box, params = cfg["mesh"], cfg["box"], cfg["parameters"]
@@ -120,10 +143,20 @@ def _validate_config(cfg):
         if params is not None:
             if not isinstance(params, dict) or "lambdas" not in params or "mus" not in params:
                 raise ConfigError("parameters must supply lambdas and mus lists")
+            for key in ("lambdas", "mus"):
+                if not isinstance(params[key], list) or not all(
+                        _same_type(v, 0.0) for v in params[key]):
+                    raise ConfigError(f"parameters {key} must be a list of numbers")
             if len(params["lambdas"]) != len(params["mus"]):
                 raise ConfigError("lambdas and mus must have equal length")
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
+    for name in _COMMAND_SECTIONS:
+        for key, default in _DEFAULTS[name].items():
+            value = cfg[name][key]
+            if not (_same_type(value, default)
+                    or (value is None and key in _SWITCHED_OFF_BY_NONE)):
+                raise ConfigError(f"{name}.{key} = {value!r} has the wrong type")
     if not isinstance(cfg["seed"], int):
         raise ConfigError("seed must be an integer")
     if cfg["q0"]["samples"] not in ("seeded", "vertices"):

@@ -1,4 +1,4 @@
-"""Parameter vectors, isotropic tensor algebra, admissibility, and the log modulus.
+"""Parameter vectors, admissibility, Poisson's ratio, and the log modulus.
 
 The material model everywhere is isotropic linear elasticity with piecewise
 constant Lame parameters on a labeled partition: on subdomain j the stiffness
@@ -33,11 +33,8 @@ __all__ = [
     "LameVector",
     "AdmissibleBox",
     "DEFAULT_BOX",
-    "IsotropicTensor",
-    "tensor_apply",
     "check_admissible",
     "poisson_ratio",
-    "poisson_bounds",
     "sigma",
     "sigma_compose",
     "sigma_inverse",
@@ -85,10 +82,6 @@ class LameVector:
         n = arr.size // 2
         return cls(arr[:n], arr[n:])
 
-    def tensor(self, j: int) -> "IsotropicTensor":
-        """Constant tensor of subdomain j (1-based label)."""
-        return IsotropicTensor(self.lambdas[j - 1], self.mus[j - 1])
-
 
 @dataclass(frozen=True)
 class AdmissibleBox:
@@ -102,23 +95,6 @@ class AdmissibleBox:
             raise ValueError("alpha0 must lie in (0, 1)")
         if not (0.0 < self.beta0 < 2.0):
             raise ValueError("beta0 must lie in (0, 2)")
-
-
-@dataclass(frozen=True)
-class IsotropicTensor:
-    """Isotropic stiffness C = lambda I (x) I + 2 mu Sym."""
-
-    lam: float
-    mu: float
-
-
-def tensor_apply(t: IsotropicTensor, A) -> np.ndarray:
-    """Apply the isotropic tensor: lambda tr(sym A) I + 2 mu sym A."""
-    A = np.asarray(A, dtype=float)
-    if A.shape != (3, 3):
-        raise ValueError("A must be a 3x3 matrix")
-    sym = 0.5 * (A + A.T)
-    return t.lam * np.trace(sym) * np.eye(3) + 2.0 * t.mu * sym
 
 
 #: Default strong-convexity box used when callers do not supply one.
@@ -151,13 +127,6 @@ def poisson_ratio(lam: float, mu: float) -> float:
     if den == 0.0:
         raise ValueError("degenerate parameters: lambda + mu = 0")
     return lam / den
-
-
-def poisson_bounds(box: AdmissibleBox):
-    """Range of Poisson's ratio over the admissible box."""
-    lo = -1.0 + box.beta0 * box.alpha0 / 4.0
-    hi = 0.5 - box.alpha0 ** 2 / 4.0
-    return lo, hi
 
 
 def sigma(t: float, delta: float) -> float:

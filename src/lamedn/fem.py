@@ -7,9 +7,8 @@ nested-dissection tree of the free dofs (interior dofs first, the dofs on
 the accessible boundary patch Sigma last), and from that one factor the
 discrete local Dirichlet-to-Neumann (DN) matrix as a Schur complement, its
 parameter partials, and every interior solve: Dirichlet solves with data on
-Sigma or on the whole boundary and interior Green functions.  Also the
-discrete H^{1/2}(Sigma) Gram matrix and the Gram-whitened operator norm,
-Alessandrini's identity, and sensitivity kernels.
+Sigma or on the whole boundary.  Also the discrete H^{1/2}(Sigma) Gram
+matrix and the Gram-whitened operator norm, and Alessandrini's identity.
 
 Element integrals are exact for P1 (constant strain); no quadrature error
 enters the identity checks.  A conical-product Gauss rule on tets is provided
@@ -18,7 +17,6 @@ for integrating non-polynomial fields (H^1 errors against closed forms).
 
 from __future__ import annotations
 
-import csv
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -32,35 +30,27 @@ from scipy.linalg import blas, lapack
 from scipy.special import roots_jacobi, roots_legendre
 
 from . import backend
-from .core import DEFAULT_BOX, LameVector, check_admissible, poisson_ratio
+from .core import DEFAULT_BOX, LameVector, check_admissible
 from .geometry import TAG_SIGMA, PartitionedMesh
 
 __all__ = [
     "MeshCache",
     "FemSystem",
     "DnMatrix",
-    "GreenField",
     "build_cache",
     "assemble",
     "solve_dirichlet",
     "solve_with_boundary_values",
     "dn_matrix",
     "dn_partials",
-    "dn_bilinear",
     "alessandrini_residual",
-    "green_function",
-    "sensitivity_kernel",
-    "sensitivity_identity_check",
     "strain_energy_pairing",
     "element_gradients",
     "tet_quadrature",
     "h1_seminorm_error",
     "random_sigma_trace",
-    "locate_point",
     "save_matrix_json",
     "load_matrix_json",
-    "save_boundary_vector_csv",
-    "load_boundary_vector_csv",
 ]
 
 # Reports name the Sigma Gram construction (`_sigma_gram`) by this label.
@@ -612,12 +602,6 @@ def random_sigma_trace(cache: MeshCache, rng: np.random.Generator) -> np.ndarray
     return psi / np.linalg.norm(psi)
 
 
-def _solve_interior(sys: FemSystem, rhs: np.ndarray, u: np.ndarray) -> None:
-    """Set the interior entries of the dof vector u to K_II^{-1} rhs_I."""
-    idx = sys.cache.dn_order[:sys.cache.interior_dofs.size]
-    u[idx] = sys.cholesky.solve(rhs[idx, None])[:, 0]
-
-
 def solve_dirichlet(sys: FemSystem, psi: np.ndarray) -> np.ndarray:
     """Displacement with trace psi on Sigma dofs and zero on the rest of the
     boundary: the discrete harmonic extension from `sys.cholesky`.  Returns
@@ -634,19 +618,21 @@ def solve_dirichlet(sys: FemSystem, psi: np.ndarray) -> np.ndarray:
 
 def solve_with_boundary_values(sys: FemSystem, g: np.ndarray) -> np.ndarray:
     """Displacement with prescribed values g (nv, 3) on *all* boundary nodes
-    (interior rows of g are ignored).  Used by Green corrections and
+    (interior rows of g are ignored): the interior entries are
+    K_II^{-1} (-K u_g)_I with u_g the boundary values zero-extended.  Used by
     manufactured-solution convergence studies."""
     cache = sys.cache
     gflat = np.asarray(g, dtype=float).reshape(-1)
     bdofs = cache.boundary_dofs
     u = np.zeros(cache.num_dofs)
     u[bdofs] = gflat[bdofs]
-    _solve_interior(sys, -(sys.stiffness @ u), u)
+    idx = cache.dn_order[:cache.interior_dofs.size]
+    u[idx] = sys.cholesky.solve(-(sys.stiffness @ u)[idx, None])[:, 0]
     return u.reshape(-1, 3)
 
 
 # ---------------------------------------------------------------------------
-# DN matrix, Gram norm, bilinear pairing
+# DN matrix and its partials
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -693,14 +679,6 @@ def dn_partials(sys: FemSystem) -> list:
             j = scale * (pj.T @ (a @ pj))
             out.append(0.5 * (j + j.T))
     return lams + mus
-
-
-def dn_bilinear(sys: FemSystem, psi: np.ndarray, phi: np.ndarray) -> float:
-    """<Lambda psi, phi> as the interior energy pairing: solve for u_psi and
-    pair K u_psi against the zero-extension of phi (exactly psi^T Lambda phi)."""
-    cache = sys.cache
-    u = solve_dirichlet(sys, psi).reshape(-1)
-    return float((sys.stiffness @ u)[cache.sigma_dofs] @ np.asarray(phi, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -759,131 +737,6 @@ def alessandrini_residual(mesh: PartitionedMesh, L1: LameVector, L2: LameVector,
 
 
 # ---------------------------------------------------------------------------
-# Green functions and sensitivity kernels
-# ---------------------------------------------------------------------------
-
-def locate_point(cache: MeshCache, x) -> int:
-    """Index of a tet containing x (barycentric tolerance 1e-12)."""
-    x = np.asarray(x, dtype=float)
-    verts = cache.mesh.vertices
-    tets = cache.mesh.tets
-    d = x - verts[tets[:, 0]]
-    bary = np.einsum("nig,ng->ni", cache.grads[:, 1:, :], d)
-    inside = (bary.min(axis=1) >= -1e-12) & (bary.sum(axis=1) <= 1.0 + 1e-12)
-    hits = np.flatnonzero(inside)
-    if hits.size == 0:
-        raise ValueError(f"point {x} lies outside the mesh")
-    return int(hits[0])
-
-
-@dataclass
-class GreenField:
-    """Discrete Green function column G(., y) l = Kelvin interpolant plus FEM
-    correction, with zero boundary trace.  `d_vec` realizes the defining
-    functional: for any zero-trace nodal field phi,
-    a_C(G, phi) = phi . d_vec holds exactly."""
-
-    values: np.ndarray      # (nv, 3)
-    gamma: np.ndarray       # (nv, 3) Kelvin interpolant
-    correction: np.ndarray  # (nv, 3)
-    d_vec: np.ndarray       # (3 nv,)
-    y: np.ndarray
-    l: np.ndarray
-    label: int
-
-
-def _green_clearance_check(cache: MeshCache, y: np.ndarray, label: int):
-    mesh = cache.mesh
-    h = mesh.cell_size()
-    dist = np.linalg.norm(mesh.vertices - y, axis=1)
-    near = dist < 2.0 * h * (1.0 - 1e-12)
-    if near[cache.boundary_nodes].any():
-        raise ValueError("source point closer than 2 cells to the boundary")
-    near_nodes = np.flatnonzero(near)
-    touch = np.isin(cache.mesh.tets, near_nodes).any(axis=1)
-    if (mesh.labels[touch] != label).any():
-        raise ValueError("source point closer than 2 cells to an interface")
-
-
-def green_function(sys: FemSystem, y, l) -> GreenField:
-    """Green column for the source point y and direction l: G = Gamma + w,
-    where Gamma is the Kelvin column Gamma(., y) l of the constant tensor at
-    y, evaluated at the vertices by `backend.kelvin_batch`, and the
-    correction w solves a_C(w, phi) = ((C_y - C) grad^ Gamma_h, grad^ phi)
-    with w = -Gamma_h on the whole boundary.
-
-    The right-hand side uses the P1 interpolant Gamma_h, which makes
-    a_C(G, phi) = a_{C_y}(Gamma_h, phi) an exact discrete identity (stored as
-    d_vec).  Requires y at least 2 cells away from interfaces and boundary.
-    """
-    cache = sys.cache
-    y = np.asarray(y, dtype=float)
-    l = np.eye(3)[int(l)] if np.ndim(l) == 0 else np.asarray(l, dtype=float)
-    tet = locate_point(cache, y)
-    label = int(sys.mesh.labels[tet])
-    _green_clearance_check(cache, y, label)
-
-    lam_y, mu_y = sys.L.lambdas[label - 1], sys.L.mus[label - 1]
-    nu_y = poisson_ratio(lam_y, mu_y)
-    gamma = backend.kelvin_batch(sys.mesh.vertices, y, mu_y, nu_y, l)
-    gflat = gamma.reshape(-1)
-
-    d_vec = sum(lam_y * (a @ gflat) + 2.0 * mu_y * (m @ gflat)
-                for a, m in zip(cache.a_lam, cache.a_mu))
-    b_idx = cache.boundary_dofs
-    g_in = gflat.copy()
-    g_in[b_idx] = 0.0
-    w = np.zeros(cache.num_dofs)
-    w[b_idx] = -gflat[b_idx]
-    _solve_interior(sys, d_vec - sys.stiffness @ g_in, w)
-    w = w.reshape(-1, 3)
-    return GreenField(values=gamma + w, gamma=gamma, correction=w,
-                      d_vec=d_vec, y=y, l=l, label=label)
-
-
-def _sensitivity(mesh, L, Lbar, y, z, region_labels, cache):
-    """S(y, z) of `sensitivity_kernel` with the Green columns it pairs:
-    (S, [G(., y) e_a], [Gbar(., z) e_b])."""
-    if cache is None:
-        cache = build_cache(mesh)
-    sys_a = assemble(mesh, L, cache)
-    sys_b = assemble(mesh, Lbar, cache)
-    dlam = np.array(L.lambdas) - np.array(Lbar.lambdas)
-    dmu = np.array(L.mus) - np.array(Lbar.mus)
-    ga = [green_function(sys_a, y, e) for e in np.eye(3)]
-    gb = [green_function(sys_b, z, e) for e in np.eye(3)]
-    s = np.empty((3, 3))
-    for a in range(3):
-        for b in range(3):
-            s[a, b] = strain_energy_pairing(cache, dlam, dmu,
-                                            ga[a].values, gb[b].values,
-                                            region_labels)
-    return s, ga, gb
-
-
-def sensitivity_kernel(mesh: PartitionedMesh, L: LameVector, Lbar: LameVector,
-                       y, z, region_labels=None, cache: MeshCache = None) -> np.ndarray:
-    """3x3 matrix S(y, z): entry [a, b] integrates
-    (C - Cbar) e(G(., y) e_a) : e(Gbar(., z) e_b) over the listed subdomains
-    (all of them when region_labels is None).  y and z must differ."""
-    if np.allclose(y, z):
-        raise ValueError("source points must differ")
-    return _sensitivity(mesh, L, Lbar, y, z, region_labels, cache)[0]
-
-
-def sensitivity_identity_check(mesh: PartitionedMesh, L: LameVector,
-                               Lbar: LameVector, y, z, cache: MeshCache = None):
-    """Full-region sensitivity matrix against the discrete DN-type pairing
-    d_y(Gbar) - dbar_z(G); exact up to solver accuracy.  Returns
-    (S, pairing, max relative gap)."""
-    s, ga, gb = _sensitivity(mesh, L, Lbar, y, z, None, cache)
-    pairing = np.array([[a.d_vec @ b.values.reshape(-1) - b.d_vec @ a.values.reshape(-1)
-                         for b in gb] for a in ga])
-    scale = max(np.abs(s).max(), np.abs(pairing).max(), np.finfo(float).eps)
-    return s, pairing, float(np.abs(s - pairing).max() / scale)
-
-
-# ---------------------------------------------------------------------------
 # Tet quadrature and H^1 errors
 # ---------------------------------------------------------------------------
 
@@ -938,23 +791,3 @@ def load_matrix_json(path) -> np.ndarray:
     with open(path) as fh:
         doc = json.load(fh)
     return np.asarray(doc["data"], dtype=np.float64).reshape(doc["shape"])
-
-
-def save_boundary_vector_csv(path, node_indices, values) -> None:
-    values = np.asarray(values, dtype=float).reshape(-1, 3)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for node, row in zip(node_indices, values):
-            writer.writerow([int(node), repr(float(row[0])), repr(float(row[1])),
-                             repr(float(row[2]))])
-
-
-def load_boundary_vector_csv(path):
-    nodes, vals = [], []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row:
-                continue
-            nodes.append(int(row[0]))
-            vals.append([float(row[1]), float(row[2]), float(row[3])])
-    return np.asarray(nodes, dtype=np.int64), np.asarray(vals, dtype=float)

@@ -1,4 +1,4 @@
-"""Partitioned meshes, the augmented-domain bump, and cone-chain geometry.
+"""Partitioned meshes and cone-chain geometry.
 
 Native meshes are axis-aligned layered partitions of the unit cube: an
 n x n x n grid of cells, each split into 6 tetrahedra (Kuhn split with the
@@ -26,15 +26,9 @@ __all__ = [
     "save_mesh",
     "load_mesh",
     "validate_mesh",
-    "rho1",
-    "augmented_layer_profile",
-    "walkway_h0",
-    "in_bump",
-    "in_k0",
     "build_cone_chain",
     "nesting_margins",
     "eta_r",
-    "tau_r",
 ]
 
 TAG_REST = 0
@@ -110,13 +104,6 @@ class PartitionedMesh:
         e2 = v[t[:, 2]] - v[t[:, 0]]
         e3 = v[t[:, 3]] - v[t[:, 0]]
         return np.einsum("ij,ij->i", np.cross(e1, e2), e3) / 6.0
-
-    def cell_size(self) -> float:
-        """Representative mesh size: 1/n for grid meshes, else the cube root
-        of the mean tet volume."""
-        if self.n:
-            return 1.0 / self.n
-        return float(np.cbrt(np.abs(self.tet_volumes()).mean()))
 
 
 def build_layered_cube(N: int, n: int, sigma_margin: float = 0.0) -> PartitionedMesh:
@@ -334,73 +321,6 @@ def load_mesh(path) -> PartitionedMesh:
 
 
 # ---------------------------------------------------------------------------
-# Augmented domain (bump over Sigma) and walkway scale
-# ---------------------------------------------------------------------------
-
-def rho1(r0: float, L_lip: float) -> float:
-    """Bump length scale rho1 = r0 / C_L with C_L = 3 sqrt(1 + L^2) / L."""
-    if r0 <= 0 or L_lip <= 0:
-        raise ValueError("r0 and L must be positive")
-    c_l = 3.0 * math.sqrt(1.0 + L_lip ** 2) / L_lip
-    return r0 / c_l
-
-
-def augmented_layer_profile(xprime, r0: float, L_lip: float) -> float:
-    """Height psi+ of the augmented-domain bump over lateral offset x'.
-
-    Plateau rho1/2 out to |x'| = rho1/(4L), then the linear ramp
-    rho1 - 2L|x'| down to zero at |x'| = rho1/(2L); Lipschitz with constant
-    exactly 2L and bounded by rho1/2.
-    """
-    p1 = rho1(r0, L_lip)
-    s = float(np.linalg.norm(np.atleast_1d(np.asarray(xprime, dtype=float))))
-    if s <= p1 / (4.0 * L_lip):
-        return p1 / 2.0
-    if s <= p1 / (2.0 * L_lip):
-        return p1 - 2.0 * L_lip * s
-    return 0.0
-
-
-def walkway_h0(r0: float, L_lip: float, CprimeL: float) -> float:
-    """Walkway step scale h0 = min{r0/6, r0/C'_L, rho1/(8 sqrt(1+4L^2))}."""
-    if min(r0, L_lip, CprimeL) <= 0:
-        raise ValueError("inputs must be positive")
-    p1 = rho1(r0, L_lip)
-    return min(r0 / 6.0, r0 / CprimeL, p1 / (8.0 * math.sqrt(1.0 + 4.0 * L_lip ** 2)))
-
-
-def in_bump(x, center, r0: float, L_lip: float, normal=(0.0, 0.0, 1.0)) -> bool:
-    """Membership in the bump D0 = {0 <= h < psi+(x')} glued onto Sigma.
-
-    `center` is the Sigma center point P1, `normal` the outward normal of the
-    flat Sigma plane; h is the signed height above the plane and x' the
-    lateral offset.
-    """
-    x = np.asarray(x, dtype=float)
-    c = np.asarray(center, dtype=float)
-    nrm = np.asarray(normal, dtype=float)
-    nrm = nrm / np.linalg.norm(nrm)
-    h = float((x - c) @ nrm)
-    lateral = (x - c) - h * nrm
-    return 0.0 <= h < augmented_layer_profile(np.linalg.norm(lateral), r0, L_lip)
-
-
-def in_k0(x, center, r0: float, L_lip: float, normal=(0.0, 0.0, 1.0)) -> bool:
-    """Membership in K0 = {x in D0 : dist(x, boundary of Omega) > rho1/8}.
-
-    For points over the flat Sigma patch the distance to the boundary is the
-    height above the plane, so the predicate is bump membership with
-    h > rho1/8.
-    """
-    x = np.asarray(x, dtype=float)
-    c = np.asarray(center, dtype=float)
-    nrm = np.asarray(normal, dtype=float)
-    nrm = nrm / np.linalg.norm(nrm)
-    h = float((x - c) @ nrm)
-    return in_bump(x, center, r0, L_lip, normal) and h > rho1(r0, L_lip) / 8.0
-
-
-# ---------------------------------------------------------------------------
 # Cone chain
 # ---------------------------------------------------------------------------
 
@@ -502,14 +422,3 @@ def eta_r(chain: ConeChain, theta_bar: float) -> float:
     base = min(base, 1.0)
     expo = abs(math.log(theta_bar)) / abs(math.log(chain.chi))
     return theta_bar * base ** expo
-
-
-def tau_r(r: float, r0: float, theta_tilde: float, delta: float) -> float:
-    """Unique-continuation exponent tau_r = theta_tilde (r/r0)^delta."""
-    if not (0.0 < theta_tilde < 1.0):
-        raise ValueError("theta_tilde must lie in (0, 1)")
-    if r <= 0 or r0 <= 0:
-        raise ValueError("radii must be positive")
-    if r / r0 > 1.0 + 1e-12:
-        raise ValueError("r/r0 exceeds 1")
-    return theta_tilde * min(r / r0, 1.0) ** delta

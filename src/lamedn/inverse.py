@@ -179,7 +179,11 @@ def _barrier(spectrum, project, v, w, x, best, norms):
     extrapolated in 1/s from s to 10 s: with H the barrier Hessian at the
     centred point, dz/d(1/s) = s^2 H^-1 e_t gives the step -0.9 s H^-1 e_t
     in z = (t, v).  Like every step it is halved until the point is strictly
-    feasible, and its spectrum is the next centring's first.
+    feasible, and its spectrum is the next centring's first.  When the
+    centring after a predictor step caps, the predicted point lay too far
+    off the central path to return to it, and nu/s there bounds nothing: the
+    run goes back to the centred point the predictor started from and
+    follows the path from there with no more predictor steps.
 
     Every iterate, predicted or not, also certifies a lower bound on the
     whole face (Vandenberghe & Boyd 1996: the dual of the spectral norm is
@@ -220,9 +224,12 @@ def _barrier(spectrum, project, v, w, x, best, norms):
     s = nu / t
     steps = capped = 0
     hess = None
+    predict = True
     e_t = np.eye(m + 1)[0]
     while nu / s > 1e-9 * t + floor:
-        if hess is not None:
+        centred = None
+        if hess is not None and predict:
+            centred = t, v, s
             t, v, w, x = move(t, v, -0.9 * s * np.linalg.lstsq(hess, e_t, rcond=None)[0], 1.0)
             steps += 1
         s *= 10.0
@@ -247,6 +254,10 @@ def _barrier(spectrum, project, v, w, x, best, norms):
         else:
             capped += 1
             hess = None
+            if centred is not None:
+                t, v, s = centred
+                w, x = spectrum(v)
+                predict = False
     return solved(False)
 
 
@@ -420,8 +431,10 @@ def q0_estimate(ctx: ForwardContext, samples) -> float:
     centrings (`_face_min`, `_barrier`) from the face's Frobenius fit until
     the duality gap is at most 1e-9 times the face value plus a rounding
     floor of 1e-13 sum_p ||M_p||_2.  The result is an attained value of f, so
-    it never undercuts the true minimum (up to rounding) and exceeds it by at
-    most that gap.
+    it never undercuts the true minimum (up to rounding), and it exceeds it
+    by at most that gap when the last centring of the face that gave it met
+    its Newton-decrement tolerance.  A centring that caps after a predictor
+    step is redone from the last centred point without the predictor.
 
     Not every face is solved to the end.  Per sample, each face p first gets
     a lower bound b_p from one least-squares fit, the fit its solve starts

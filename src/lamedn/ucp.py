@@ -3,8 +3,7 @@
 Ensembles of exact constant-coefficient elastic fields (point-source columns
 and linear displacements) are integrated over balls, cones, and nested-ball
 chains to fit three-sphere inequalities, check Caccioppoli-type bounds, and
-measure smallness propagation -- both analytically and through FEM Green
-probes on layered meshes.
+measure smallness propagation along a cone chain.
 """
 
 from __future__ import annotations
@@ -18,22 +17,20 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from . import backend
-from .core import DEFAULT_BOX, LameVector, poisson_ratio, sample_admissible
-from .geometry import ConeChain, PartitionedMesh, eta_r
+from .core import DEFAULT_BOX, poisson_ratio, sample_admissible
+from .geometry import ConeChain, eta_r
 
 __all__ = [
     "SolutionMember",
     "SolutionEnsemble",
     "kelvin_ensemble",
     "linear_ensemble",
-    "mixed_ensemble",
     "ball_l2",
     "cone_l2",
     "ThreeSphereFit",
     "three_sphere_fit",
     "caccioppoli_check",
     "cone_propagation_experiment",
-    "interface_chain_experiment",
     "write_three_sphere_csv",
     "write_cone_csv",
 ]
@@ -121,18 +118,6 @@ class SolutionEnsemble:
     def __iter__(self):
         return iter(self.members)
 
-    def scaled(self, factor: float) -> "SolutionEnsemble":
-        out = []
-        for m in self.members:
-            if m.kind == "linear":
-                out.append(SolutionMember(kind="linear", index=m.index,
-                                          matrix=factor * m.matrix))
-            else:
-                out.append(SolutionMember(kind="kelvin", index=m.index, mu=m.mu, nu=m.nu,
-                                          source=m.source.copy(),
-                                          direction=factor * m.direction))
-        return SolutionEnsemble(out, self.center.copy(), self.radius)
-
 
 def _unit_vectors(rng, count):
     v = rng.normal(size=(count, 3))
@@ -177,17 +162,6 @@ def linear_ensemble(count, center=(0.0, 0.0, 0.0), radius=1.0, seed=0,
     members = [SolutionMember(kind="linear", index=i,
                               matrix=scale * rng.normal(size=(3, 3)))
                for i in range(count)]
-    return SolutionEnsemble(members, np.asarray(center, dtype=float), float(radius))
-
-
-def mixed_ensemble(count, center=(0.0, 0.0, 0.0), radius=1.0, seed=0,
-                   linear_fraction=0.25, **kelvin_kwargs) -> SolutionEnsemble:
-    n_lin = int(round(count * linear_fraction))
-    lin = linear_ensemble(n_lin, center, radius, seed=seed + 1)
-    kel = kelvin_ensemble(count - n_lin, center, radius, seed=seed, **kelvin_kwargs)
-    members = kel.members + lin.members
-    for i, m in enumerate(members):
-        m.index = i
     return SolutionEnsemble(members, np.asarray(center, dtype=float), float(radius))
 
 
@@ -428,170 +402,6 @@ def cone_propagation_experiment(chain: ConeChain, ensemble: SolutionEnsemble,
         "max_C_impl": float(max(r["C_impl"] for r in rows)),
         "skipped": skipped,
         "screened_out": screened,
-    }
-
-
-# ---------------------------------------------------------------------------
-# FEM interface-chain experiment
-# ---------------------------------------------------------------------------
-
-def _interp(mesh, cache, values, pts):
-    """P1 interpolation of a nodal field at interior points."""
-    from .fem import locate_point
-    out = np.empty((len(pts), values.shape[1]))
-    for i, p in enumerate(pts):
-        tet = locate_point(cache, p)
-        d = np.asarray(p, float) - mesh.vertices[mesh.tets[tet, 0]]
-        bary = np.empty(4)
-        bary[1:] = cache.grads[tet, 1:, :] @ d
-        bary[0] = 1.0 - bary[1:].sum()
-        out[i] = bary @ values[mesh.tets[tet]]
-    return out
-
-
-def interface_chain_experiment(mesh: PartitionedMesh, L: LameVector,
-                               probe: dict = None) -> dict:
-    """Observe a FEM Green-function column decaying through layered
-    interfaces.
-
-    The source sits near the observation face; |v| is sampled along the
-    descending vertical line through it.  Reported: the depth profile, its
-    per-layer means (with a monotone-trend flag), the two-sided relative jump
-    at each interface, sup |v| * dist^{1/2}, a moduli-contrast sweep at a
-    fixed probe point, and a source-depth sweep with the fitted exponent of
-    |v(probe)| against the near-face smallness.
-
-    `probe` may set `cache` (a `MeshCache` of mesh, built here otherwise) and
-    `allow_single` (run on a one-layer mesh).  The sampling is fixed, with
-    h = 1/n the cell size:
-      - the vertical line x1 = x2 = 1/2 + h/2, and the column e3 of G;
-      - the source on that line at height 1 - 2h;
-      - 25 profile points from z = source - 1.5h down to z = 1.5h;
-      - the contrast sweep multiplies the bottom layer's mu by 1, 2 and 4;
-      - the probe point on the line at z = 2.5h;
-      - the source-depth sweep at 3 depths evenly from 2h to 1/N - 2h below
-        the face (one depth, 2h, where that range is empty).
-    """
-    from .fem import assemble, build_cache, green_function, locate_point
-
-    probe = dict(probe or {})
-    if mesh.N < 2 and not probe.get("allow_single", False):
-        raise ValueError("interface chain needs at least 2 layers "
-                         "(pass allow_single=True to observe a single phase)")
-    cache = probe.get("cache") or build_cache(mesh)
-    h = 1.0 / mesh.n
-    lateral = (0.5 + 0.5 * h, 0.5 + 0.5 * h)
-    component = 2
-    source = np.array([lateral[0], lateral[1], 1.0 - 2.0 * h])
-
-    sys = assemble(mesh, L, cache)
-    g = green_function(sys, source, component)
-    vals = g.values
-
-    # Depth profile along the vertical line below the source.
-    z_lo, z_hi = 1.5 * h, source[2] - 1.5 * h
-    zs = np.linspace(z_hi, z_lo, 25)
-    line = np.column_stack([np.full_like(zs, lateral[0]),
-                            np.full_like(zs, lateral[1]), zs])
-    vline = _interp(mesh, cache, vals, line)
-    mags = np.linalg.norm(vline, axis=1)
-    if not np.all(np.isfinite(mags)):
-        raise ArithmeticError("non-finite Green values on the profile line")
-    dists = np.linalg.norm(line - source, axis=1)
-    profile = [{"z": float(z), "dist": float(d), "value": float(v)}
-               for z, d, v in zip(zs, dists, mags)]
-
-    # Layer means, ordered top (source side) to bottom.
-    layer_means = []
-    for j in range(mesh.N, 0, -1):
-        lo, hi = 1.0 - (mesh.N - j + 1) / mesh.N, 1.0 - (mesh.N - j) / mesh.N
-        sel = (zs > lo + 1e-12) & (zs < hi - 1e-12) & (zs < source[2] - h)
-        if sel.any():
-            layer_means.append(float(mags[sel].mean()))
-    trend = all(a >= b for a, b in zip(layer_means, layer_means[1:]))
-
-    # Two-sided traces at each interface: extrapolate linearly from each side
-    # onto the plane (removes the smooth decay along the line) and compare.
-    jumps = []
-    for plane in mesh.interfaces:
-        z0 = float(plane["point"][2])
-        if not (z_lo < z0 < z_hi):
-            continue
-        dz = 0.25 * h
-        side = _interp(mesh, cache, vals, np.array(
-            [[lateral[0], lateral[1], z0 + 2 * dz],
-             [lateral[0], lateral[1], z0 + dz],
-             [lateral[0], lateral[1], z0 - dz],
-             [lateral[0], lateral[1], z0 - 2 * dz]]))
-        above = 2.0 * side[1] - side[0]
-        below = 2.0 * side[2] - side[3]
-        scale = max(np.linalg.norm(above), np.linalg.norm(below), 1e-300)
-        traction = []
-        for dz_t in (dz, -dz):
-            pt = np.array([lateral[0], lateral[1], z0 + dz_t])
-            tet = locate_point(cache, pt)
-            lab = int(mesh.labels[tet])
-            gr = np.einsum("id,ig->dg", vals[mesh.tets[tet]], cache.grads[tet])
-            strain = 0.5 * (gr + gr.T)
-            lam_e, mu_e = L.lambdas[lab - 1], L.mus[lab - 1]
-            traction.append(lam_e * np.trace(strain) * np.array([0.0, 0.0, 1.0])
-                            + 2.0 * mu_e * strain @ np.array([0.0, 0.0, 1.0]))
-        t_scale = max(np.linalg.norm(traction[0]), np.linalg.norm(traction[1]), 1e-300)
-        jumps.append({"z": z0,
-                      "jump": float(np.linalg.norm(above - below) / scale),
-                      "traction_jump": float(np.linalg.norm(traction[0] - traction[1])
-                                             / t_scale)})
-
-    sup_scaled = float(np.max(mags * np.sqrt(dists)))
-
-    # Contrast sweep: scale the shear modulus of the bottom layer against the
-    # fixed top layer.
-    probe_pt = np.array([lateral[0], lateral[1], z_lo + h])
-    sweep = []
-    for cmul in (1.0, 2.0, 4.0):
-        lams, mus = list(L.lambdas), list(L.mus)
-        mus[-1] *= cmul
-        g_c = green_function(assemble(mesh, LameVector(lams, mus), cache, warn=False),
-                             source, component)
-        val = float(np.linalg.norm(_interp(mesh, cache, g_c.values,
-                                           probe_pt[None, :])[0]))
-        sweep.append({"contrast": float(cmul), "value": val})
-
-    # Source-depth sweep: near-face smallness vs deep response.  Valid source
-    # heights keep 2 cells clear of both the observation face and the first
-    # interface below it (the top layer spans [1 - 1/N, 1]).
-    d_min, d_max = 2.0 * h, 1.0 / mesh.N - 2.0 * h
-    depths = np.linspace(d_min, d_max, 3) if d_max > d_min + 1e-12 else [d_min]
-    ring_r = 4.0 * h
-    angles = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
-    exponent = None
-    depth_rows = []
-    for d in depths:
-        src = np.array([lateral[0], lateral[1], 1.0 - d])
-        g_d = green_function(sys, src, component)
-        ring = np.column_stack([
-            np.clip(lateral[0] + ring_r * np.cos(angles), 2 * h, 1 - 2 * h),
-            np.clip(lateral[1] + ring_r * np.sin(angles), 2 * h, 1 - 2 * h),
-            np.full_like(angles, 1.0 - 0.5 * h)])
-        eps = float(np.linalg.norm(_interp(mesh, cache, g_d.values, ring), axis=1).max())
-        deep = float(np.linalg.norm(_interp(mesh, cache, g_d.values, probe_pt[None, :])[0]))
-        depth_rows.append({"depth": float(d), "eps": eps, "value": deep})
-    if len(depth_rows) >= 2:
-        le = np.log([r["eps"] for r in depth_rows])
-        lv = np.log([max(r["value"], 1e-300) for r in depth_rows])
-        exponent = float(np.polyfit(le, lv, 1)[0])
-
-    return {
-        "mesh": {"N": mesh.N, "n": mesh.n},
-        "source": [float(c) for c in source],
-        "profile": profile,
-        "layer_means": layer_means,
-        "monotone_trend": bool(trend),
-        "interface_jumps": jumps,
-        "sup_v_sqrt_dist": sup_scaled,
-        "contrast_sweep": sweep,
-        "depth_sweep": depth_rows,
-        "depth_exponent": exponent,
     }
 
 

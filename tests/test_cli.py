@@ -73,7 +73,9 @@ class TestExitCodes:
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("payload", [{"q0": {"samplez": "vertices"}}, {"q0": 3},
-                                         {"mesh": {"N": "x"}}, {"box": {"alpha0": "a"}}])
+                                         {"mesh": {"N": "x"}}, {"box": {"alpha0": "a"}},
+                                         {"probe": {"num_pairs": "x"}},
+                                         {"parameters": {"lambdas": ["x"], "mus": [1.0]}}])
     def test_bad_section_is_config_error(self, tmp_path, capsys, payload):
         path = _cfg(tmp_path, "bad.json", payload)
         code = main(["q0", "--config", path, "--out", str(tmp_path / "o.json")])

@@ -8,17 +8,14 @@ from hypothesis import strategies as st
 from lamedn.core import (
     DEFAULT_BOX,
     AdmissibleBox,
-    IsotropicTensor,
     LameVector,
     check_admissible,
-    poisson_bounds,
     poisson_ratio,
     propbv_constant,
     sample_admissible,
     sigma,
     sigma_compose,
     sigma_inverse,
-    tensor_apply,
 )
 
 
@@ -37,34 +34,6 @@ class TestLameVector:
     def test_mismatched_lengths(self):
         with pytest.raises(ValueError):
             LameVector([1.0, 2.0], [1.0])
-
-    def test_tensor_is_one_based(self):
-        vec = LameVector([1.0, 2.0], [0.5, 1.5])
-        t1 = vec.tensor(1)
-        assert t1.lam == 1.0 and t1.mu == 0.5
-        t2 = vec.tensor(2)
-        assert t2.lam == 2.0 and t2.mu == 1.5
-
-
-class TestTensorApply:
-    def test_identity_strain(self):
-        t = IsotropicTensor(lam=2.0, mu=0.7)
-        out = tensor_apply(t, np.eye(3))
-        assert np.allclose(out, (3 * 2.0 + 2 * 0.7) * np.eye(3))
-
-    @given(st.integers(0, 10 ** 6))
-    @settings(max_examples=50, deadline=None)
-    def test_linear_and_symmetric(self, seed):
-        rng = np.random.default_rng(seed)
-        t = IsotropicTensor(lam=rng.uniform(0.1, 2), mu=rng.uniform(0.1, 2))
-        a = rng.normal(size=(3, 3))
-        b = rng.normal(size=(3, 3))
-        c1, c2 = rng.normal(size=2)
-        lhs = tensor_apply(t, c1 * a + c2 * b)
-        rhs = c1 * tensor_apply(t, a) + c2 * tensor_apply(t, b)
-        assert np.allclose(lhs, rhs, atol=1e-12)
-        out = tensor_apply(t, a)
-        assert np.allclose(out, out.T, atol=1e-12)
 
 
 class TestAdmissibility:
@@ -100,10 +69,11 @@ class TestAdmissibility:
     def test_poisson_in_bounds_on_box(self, seed):
         rng = np.random.default_rng(seed)
         vec = sample_admissible(2, DEFAULT_BOX, rng)
-        lo, hi = poisson_bounds(DEFAULT_BOX)
-        for j in range(1, 3):
-            t = vec.tensor(j)
-            nu = poisson_ratio(t.lam, t.mu)
+        # The range of nu over the box stated in the core module docstring.
+        a0, b0 = DEFAULT_BOX.alpha0, DEFAULT_BOX.beta0
+        lo, hi = -1.0 + b0 * a0 / 4.0, 0.5 - a0 ** 2 / 4.0
+        for lam, mu in zip(vec.lambdas, vec.mus):
+            nu = poisson_ratio(lam, mu)
             assert lo - 1e-12 <= nu <= hi + 1e-12
             assert -1.0 < nu < 0.5
 

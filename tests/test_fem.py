@@ -1,4 +1,4 @@
-"""Forward solver: assembly, DN matrices, Green functions, quadrature, I/O."""
+"""Forward solver: assembly, DN matrices, solves, quadrature, I/O."""
 
 import dataclasses
 
@@ -13,26 +13,18 @@ from lamedn.fem import (
     alessandrini_residual,
     assemble,
     build_cache,
-    dn_bilinear,
     dn_matrix,
     dn_partials,
     element_gradients,
-    green_function,
     h1_seminorm_error,
-    load_boundary_vector_csv,
     load_matrix_json,
-    locate_point,
     random_sigma_trace,
-    save_boundary_vector_csv,
     save_matrix_json,
-    sensitivity_identity_check,
-    sensitivity_kernel,
     solve_dirichlet,
     solve_with_boundary_values,
     tet_quadrature,
 )
 from lamedn.geometry import PartitionedMesh, build_layered_cube
-from lamedn.kernels import kelvin_matrix
 
 L2 = LameVector([1.0, 0.8], [0.9, 1.2])
 L2B = LameVector([1.1, 0.7], [1.0, 1.1])
@@ -130,13 +122,6 @@ class TestDnMatrix:
                        cache_2x4, warn=False)
         with pytest.raises(ValueError, match="positive definite"):
             dn_matrix(sys)
-
-    def test_bilinear_matches_matrix(self, cache_2x4, rng):
-        sys = assemble(cache_2x4.mesh, L2, cache_2x4)
-        lam = dn_matrix(sys).entries
-        psi = random_sigma_trace(cache_2x4, rng)
-        phi = random_sigma_trace(cache_2x4, rng)
-        assert dn_bilinear(sys, psi, phi) == pytest.approx(phi @ lam @ psi, rel=1e-10)
 
     def test_gram_spd_and_label(self, cache_2x4):
         g = cache_2x4.gram_half
@@ -292,7 +277,6 @@ class TestFronts:
         dn_partials(sys)
         solve_dirichlet(sys, random_sigma_trace(cache_2x8, rng))
         solve_with_boundary_values(sys, rng.standard_normal((cache_2x8.mesh.num_vertices, 3)))
-        green_function(sys, TestGreenFunction.Y, 2)
         alessandrini_residual(cache_2x8.mesh, L2, L2B, random_sigma_trace(cache_2x8, rng),
                               random_sigma_trace(cache_2x8, rng), cache_2x8)
 
@@ -317,26 +301,6 @@ class TestFronts:
         got = solve_with_boundary_values(sys, g).reshape(-1)
         assert np.abs(got[i_idx] - want).max() <= 1e-12 * np.abs(want).max()
         assert np.array_equal(got[b_idx], g.reshape(-1)[b_idx])
-
-    def test_green_function_matches_dense(self, cache_2x8):
-        """The correction solves K_II w_I = (d - K Gamma)_I - K_IB w_B with
-        w_B = -Gamma_B, and d = K_y Gamma with K_y the stiffness of the
-        constant tensor at y over the whole mesh."""
-        cache = cache_2x8
-        sys = assemble(cache.mesh, L2, cache)
-        k, i_idx, b_idx = _dense_interior(sys)
-        g = green_function(sys, TestGreenFunction.Y, 2)
-        lam_y, mu_y = L2.lambdas[g.label - 1], L2.mus[g.label - 1]
-        k_y = lam_y * sum(a.toarray() for a in cache.a_lam) + 2.0 * mu_y * sum(
-            a.toarray() for a in cache.a_mu)
-        gflat = g.gamma.reshape(-1)
-        d_vec = k_y @ gflat
-        assert np.abs(g.d_vec - d_vec).max() <= 1e-12 * np.abs(d_vec).max()
-        rhs = (d_vec - k @ gflat)[i_idx] + k[np.ix_(i_idx, b_idx)] @ gflat[b_idx]
-        want = np.linalg.solve(k[np.ix_(i_idx, i_idx)], rhs)
-        got = g.correction.reshape(-1)
-        assert np.abs(got[i_idx] - want).max() <= 1e-12 * np.abs(want).max()
-        assert np.array_equal(got[b_idx], -gflat[b_idx])
 
 
 def _dof_blocks_reference(vol, grads):
@@ -423,82 +387,6 @@ class TestDnPartials:
         assert np.abs(euler - lam).max() <= 1e-12 * np.abs(lam).max()
 
 
-class TestGreenFunction:
-    # off the vertex grid (the Kelvin interpolant is sampled at every node),
-    # exactly two cells from the top face and the interface of the n=8 mesh
-    Y = np.array([0.4375, 0.4375, 0.75])
-
-    def test_clearance_boundary(self, cache_2x4):
-        sys = assemble(cache_2x4.mesh, L2, cache_2x4)
-        with pytest.raises(ValueError, match="boundary"):
-            green_function(sys, [0.5, 0.5, 0.9], 2)
-
-    def test_clearance_interface(self, cache_2x8):
-        sys = assemble(cache_2x8.mesh, L2, cache_2x8)
-        with pytest.raises(ValueError, match="interface"):
-            green_function(sys, [0.5, 0.5, 0.56], 2)
-
-    def test_defining_functional_exact(self, cache_2x8, rng):
-        sys = assemble(cache_2x8.mesh, L2, cache_2x8)
-        g = green_function(sys, self.Y, 2)
-        phi = np.zeros(cache_2x8.num_dofs)
-        phi[cache_2x8.interior_dofs] = rng.standard_normal(cache_2x8.interior_dofs.size)
-        lhs = phi @ (sys.stiffness @ g.values.reshape(-1))
-        rhs = phi @ g.d_vec
-        assert lhs == pytest.approx(rhs, rel=1e-10)
-
-    def test_zero_boundary_trace_and_split(self, cache_2x8):
-        sys = assemble(cache_2x8.mesh, L2, cache_2x8)
-        g = green_function(sys, self.Y, 0)
-        assert np.array_equal(g.values, g.gamma + g.correction)
-        assert np.abs(g.values[cache_2x8.boundary_nodes]).max() == 0.0
-        assert g.label == 1  # source sits in the top layer
-
-    def test_direction_index_matches_vector(self, cache_2x8):
-        sys = assemble(cache_2x8.mesh, L2, cache_2x8)
-        a = green_function(sys, self.Y, 1)
-        b = green_function(sys, self.Y, np.array([0.0, 1.0, 0.0]))
-        assert np.array_equal(a.values, b.values)
-
-    @pytest.mark.parametrize("l, vec", [(2, (0.0, 0.0, 1.0)),
-                                        ((0.3, -1.2, 0.5), (0.3, -1.2, 0.5))])
-    def test_gamma_is_kelvin_column(self, cache_2x8, l, vec):
-        sys = assemble(cache_2x8.mesh, L2, cache_2x8)
-        g = green_function(sys, self.Y, l)
-        lam, mu = L2.lambdas[g.label - 1], L2.mus[g.label - 1]
-        nu = poisson_ratio(lam, mu)
-        want = np.array([kelvin_matrix(x, self.Y, mu, nu) @ vec
-                         for x in cache_2x8.mesh.vertices])
-        err = np.linalg.norm(g.gamma - want, axis=1)
-        assert (err <= 1e-14 * np.linalg.norm(want, axis=1)).all()
-
-    def test_sensitivity_identity(self, cache_2x8):
-        _, _, gap = sensitivity_identity_check(
-            cache_2x8.mesh, L2, L2B, self.Y, [0.5625, 0.5625, 0.75], cache_2x8
-        )
-        assert gap < 1e-12
-
-    def test_sensitivity_kernel(self, cache_2x8):
-        # the identity check's S, additive over the subdomains
-        z = [0.5625, 0.5625, 0.75]
-        full = sensitivity_kernel(cache_2x8.mesh, L2, L2B, self.Y, z, cache=cache_2x8)
-        s, _, _ = sensitivity_identity_check(cache_2x8.mesh, L2, L2B, self.Y, z, cache_2x8)
-        assert np.array_equal(full, s)
-        parts = [sensitivity_kernel(cache_2x8.mesh, L2, L2B, self.Y, z, [j], cache_2x8)
-                 for j in (1, 2)]
-        assert np.abs(parts[0] + parts[1] - full).max() <= 1e-12 * np.abs(full).max()
-        with pytest.raises(ValueError, match="differ"):
-            sensitivity_kernel(cache_2x8.mesh, L2, L2B, self.Y, self.Y, cache=cache_2x8)
-
-    def test_locate_point(self, cache_2x4):
-        tet = locate_point(cache_2x4, [0.3, 0.3, 0.9])
-        assert cache_2x4.mesh.labels[tet] == 1
-        tet = locate_point(cache_2x4, [0.3, 0.3, 0.1])
-        assert cache_2x4.mesh.labels[tet] == 2
-        with pytest.raises(ValueError):
-            locate_point(cache_2x4, [1.5, 0.0, 0.0])
-
-
 class TestQuadratureAndNorms:
     def test_weights_and_points(self):
         bary, w = tet_quadrature(4)
@@ -535,15 +423,6 @@ class TestFileFormats:
         path = tmp_path / "m.json"
         save_matrix_json(path, m)
         assert np.array_equal(load_matrix_json(path), m)
-
-    def test_boundary_vector_csv_roundtrip(self, tmp_path, rng):
-        nodes = np.array([3, 1, 4, 15])
-        vals = rng.standard_normal((4, 3))
-        path = tmp_path / "bv.csv"
-        save_boundary_vector_csv(path, nodes, vals)
-        back_nodes, back_vals = load_boundary_vector_csv(path)
-        assert np.array_equal(back_nodes, nodes)
-        assert np.array_equal(back_vals, vals)
 
 
 def test_convergence_under_refinement():

@@ -1,4 +1,4 @@
-"""Mesh construction/validation, bump geometry, and the cone ball chain."""
+"""Mesh construction/validation and the cone ball chain."""
 
 import dataclasses
 import math
@@ -12,19 +12,13 @@ from lamedn.geometry import (
     _boundary_faces,
     _face_keys,
     _tet_faces,
-    augmented_layer_profile,
     build_cone_chain,
     build_layered_cube,
     eta_r,
-    in_bump,
-    in_k0,
     load_mesh,
     nesting_margins,
-    rho1,
     save_mesh,
-    tau_r,
     validate_mesh,
-    walkway_h0,
 )
 
 
@@ -36,7 +30,7 @@ class TestLayeredCube:
         assert mesh.N == N
         assert mesh.num_vertices == (n + 1) ** 3
         assert mesh.num_tets == 6 * n**3
-        assert mesh.cell_size() == pytest.approx(1.0 / n)
+        assert mesh.n == n
 
     def test_volumes_positive_and_sum_to_one(self):
         mesh = build_layered_cube(2, 4)
@@ -190,60 +184,6 @@ class TestFaceKeys:
             _boundary_faces(np.array([[0, 1, 2, nv]]))
 
 
-class TestBumpGeometry:
-    def test_rho1_value(self):
-        # C_L = 3 sqrt(2) at L = 1
-        assert rho1(1.0, 1.0) == pytest.approx(1.0 / (3.0 * math.sqrt(2.0)), rel=1e-15)
-
-    def test_rho1_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            rho1(0.0, 1.0)
-        with pytest.raises(ValueError):
-            rho1(1.0, -2.0)
-
-    def test_profile_plateau_ramp_zero(self):
-        p1 = rho1(1.0, 1.0)
-        assert augmented_layer_profile(0.0, 1.0, 1.0) == pytest.approx(p1 / 2)
-        assert augmented_layer_profile(p1 / 4, 1.0, 1.0) == pytest.approx(p1 / 2)
-        mid = 0.375 * p1  # halfway down the ramp
-        assert augmented_layer_profile(mid, 1.0, 1.0) == pytest.approx(p1 / 4)
-        assert augmented_layer_profile(p1 / 2, 1.0, 1.0) == pytest.approx(0.0, abs=1e-15)
-        assert augmented_layer_profile(10 * p1, 1.0, 1.0) == 0.0
-
-    @given(
-        a=st.floats(0.0, 0.5),
-        b=st.floats(0.0, 0.5),
-        L=st.floats(0.25, 4.0),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_profile_lipschitz_and_bounded(self, a, b, L):
-        fa = augmented_layer_profile(a, 1.0, L)
-        fb = augmented_layer_profile(b, 1.0, L)
-        assert abs(fa - fb) <= 2.0 * L * abs(a - b) + 1e-12
-        assert 0.0 <= fa <= rho1(1.0, L) / 2 + 1e-15
-
-    def test_walkway_h0_value(self):
-        assert walkway_h0(1.0, 1.0, 6.0) == pytest.approx(0.013176156917368245, rel=1e-12)
-        with pytest.raises(ValueError):
-            walkway_h0(1.0, 0.0, 6.0)
-
-    def test_bump_membership(self):
-        c = (0.5, 0.5, 1.0)
-        p1 = rho1(1.0, 1.0)
-        assert in_bump(c + np.array([0, 0, 0.4 * p1]), c, 1.0, 1.0)
-        assert not in_bump(c + np.array([0, 0, -0.01]), c, 1.0, 1.0)  # below plane
-        assert not in_bump(c + np.array([0.6 * p1, 0, 0.01]), c, 1.0, 1.0)  # off ramp
-        assert not in_bump(c + np.array([0, 0, 0.6 * p1]), c, 1.0, 1.0)  # too high
-
-    def test_core_requires_clearance(self):
-        c = (0.5, 0.5, 1.0)
-        p1 = rho1(1.0, 1.0)
-        inside = c + np.array([0, 0, 0.25 * p1])
-        shallow = c + np.array([0, 0, 0.05 * p1])
-        assert in_k0(inside, c, 1.0, 1.0)
-        assert in_bump(shallow, c, 1.0, 1.0) and not in_k0(shallow, c, 1.0, 1.0)
-
-
 class TestConeChain:
     def test_contraction_factor_frozen(self):
         gamma3 = math.atan(0.5)
@@ -317,11 +257,3 @@ class TestConeChain:
             eta_r(chain, 0.0)
         with pytest.raises(ValueError):
             eta_r(chain, 1.0)
-
-    def test_tau_r(self):
-        assert tau_r(1.0, 1.0, 0.4, 2.0) == pytest.approx(0.4)
-        assert tau_r(0.5, 1.0, 0.4, 1.0) == pytest.approx(0.2)
-        with pytest.raises(ValueError):
-            tau_r(2.0, 1.0, 0.4, 1.0)
-        with pytest.raises(ValueError):
-            tau_r(0.5, 1.0, 1.5, 1.0)
