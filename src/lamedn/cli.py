@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -218,6 +219,16 @@ def _write_json(path, obj):
         fh.write(text + "\n")
 
 
+def _write_csv(path, header, rows):
+    """One CSV row per tuple: integers (member ids) as they are, every other
+    value as repr(float(v)), so that a float reads back bitwise."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([v if isinstance(v, int) else repr(float(v)) for v in row])
+
+
 def _write_report(path, report):
     _check_schema(report, _REPORT_SCHEMA)
     for it in report["iterates"]:
@@ -235,7 +246,7 @@ def _sample_vectors(count, n_layers, box, seed):
     from .core import sample_admissible
     import numpy as np
     rng = np.random.default_rng(seed)
-    return [sample_admissible(n_layers, box, rng) for _ in range(count)]
+    return [sample_admissible(n_layers, box, rng=rng) for _ in range(count)]
 
 
 def _vertex_vectors(n_layers, box):
@@ -343,11 +354,7 @@ def cmd_kernels(cfg, out):
                 continue
             g = gamma_e3_upper(x, c, p)
             rows.append((x1, 0.0, x3, c, g[0], g[1], g[2]))
-    with open(out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x1", "x2", "x3", "c", "g13", "g23", "g33"])
-        for row in rows:
-            w.writerow([repr(float(v)) for v in row])
+    _write_csv(out, ["x1", "x2", "x3", "c", "g13", "g23", "g33"], rows)
     return EXIT_OK
 
 
@@ -368,20 +375,11 @@ def cmd_q0(cfg, out):
     report["inv_q0"] = 1.0 / q0 if q0 > 0.0 else None
     report["samples"] = cfg["q0"]["samples"]
     report["num_samples"] = len(samples)
-    report["diagnostics"] = {"faces_solved": search.faces_solved,
-                             "faces_skipped": search.faces_skipped,
-                             "faces_cut": search.faces_cut,
-                             "faces_certified": search.faces_certified,
-                             "newton_steps": list(search.newton_steps),
-                             "lp_steps": search.lp_steps,
-                             "capped_centrings": search.capped_centrings,
-                             "gap": search.gap,
-                             "sample": search.sample,
-                             "L": [float(u) for u in samples[search.sample].as_array()],
-                             "face": search.face,
-                             "sign": search.sign,
-                             "v": list(search.v),
-                             "h": [float(u) for u in search.h]}
+    diagnostics = dataclasses.asdict(search)
+    del diagnostics["q0"]
+    diagnostics["L"] = [float(u) for u in samples[search.sample].as_array()]
+    diagnostics["h"] = [float(u) for u in search.h]
+    report["diagnostics"] = diagnostics
     report["pass"] = bool(floor is None or q0 > float(floor))
     _write_report(out, report)
     if not report["pass"]:
@@ -459,8 +457,7 @@ def cmd_ucp(cfg, out):
     import math
     from .geometry import build_cone_chain
     from .ucp import (caccioppoli_check, cone_propagation_experiment,
-                      kelvin_ensemble, three_sphere_fit, write_cone_csv,
-                      write_three_sphere_csv)
+                      kelvin_ensemble, three_sphere_fit)
     section = cfg["ucp"]
     count = int(section["count"])
     r1, r2, r3 = [float(v) for v in section["radii"]]
@@ -481,8 +478,11 @@ def cmd_ucp(cfg, out):
     cone_rep = cone_propagation_experiment(chain, cone_ens, float(section["eps_small"]))
 
     base, ext = os.path.splitext(out)
-    write_three_sphere_csv(base + "_three_sphere.csv", fit)
-    write_cone_csv(base + "_cone.csv", cone_rep)
+    _write_csv(base + "_three_sphere.csv", ["member_id", "r1_int", "r2_int", "r3_int"],
+               fit.rows)
+    _write_csv(base + "_cone.csv", ["member_id", "eps", "E", "value", "C_impl"],
+               [(r["member"], r["eps"], r["E"], r["value"], r["C_impl"])
+                for r in cone_rep["rows"]])
 
     report = {
         "three_sphere": {"theta0": fit.theta0, "logC": fit.logC,

@@ -157,8 +157,8 @@ def sigma_compose(t: float, delta: float, N: int) -> float:
     return out
 
 
-def sigma_inverse(y: float, delta: float, N: int = 1, rel_tol: float = 1e-10) -> float:
-    """Invert sigma^N by bisection in log t to relative tolerance on t.
+def sigma_inverse(y: float, delta: float, N: int = 1) -> float:
+    """Invert sigma^N by bisection in log t to relative tolerance 1e-10 on t.
 
     Returns 0.0 when y is below the smallest value sigma^N attains on
     representable positive floats (the inverse underflows; the log branch
@@ -174,7 +174,7 @@ def sigma_inverse(y: float, delta: float, N: int = 1, rel_tol: float = 1e-10) ->
     hi = 0.0
     while sigma_compose(math.exp(hi), delta, N) < y:
         hi += 16.0
-    while hi - lo > rel_tol:
+    while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
         if sigma_compose(math.exp(mid), delta, N) < y:
             lo = mid
@@ -203,14 +203,12 @@ def propbv_constant(M1: float, M2: float, q0: float, lipschitz_Fprime: float,
     return max(first, 2.0 / q0)
 
 
-def sample_admissible(N: int, box: AdmissibleBox = DEFAULT_BOX,
-                      rng: np.random.Generator = None) -> LameVector:
-    """Uniform rejection-free sample of the admissible box.
+def sample_admissible(N: int, box: AdmissibleBox = DEFAULT_BOX, *,
+                      rng: np.random.Generator) -> LameVector:
+    """Uniform rejection-free sample of the admissible box, drawn from rng.
 
     mu_j ~ U[alpha0, 1/alpha0]; given mu_j, lambda_j ~ U[(beta0-2mu_j)/3, 1/alpha0].
     """
-    if rng is None:
-        rng = np.random.default_rng()
     mus = rng.uniform(box.alpha0, 1.0 / box.alpha0, size=N)
     lo = (box.beta0 - 2.0 * mus) / 3.0
     lambdas = rng.uniform(lo, 1.0 / box.alpha0)

@@ -30,7 +30,7 @@ from scipy.linalg import blas, lapack
 from scipy.special import roots_jacobi, roots_legendre
 
 from . import backend
-from .core import DEFAULT_BOX, LameVector, check_admissible
+from .core import LameVector
 from .geometry import TAG_SIGMA, PartitionedMesh
 
 __all__ = [
@@ -120,8 +120,6 @@ class MeshCache:
     sigma_dofs: np.ndarray
     zero_dofs: np.ndarray
     boundary_dofs: np.ndarray
-    sigma_nodes: np.ndarray
-    boundary_nodes: np.ndarray
     gram_scalar: np.ndarray  # scalar H^{1/2} Gram on sigma nodes
     gram_half: np.ndarray    # vector Gram on sigma dofs, kron(gram_scalar, I3)
     dn_order: np.ndarray   # interior dofs in dissection order, then sigma_dofs
@@ -376,7 +374,6 @@ def build_cache(mesh: PartitionedMesh) -> MeshCache:
         mesh=mesh, vol=vol, grads=grads, a_lam=a_lam, a_mu=a_mu,
         interior_dofs=_node_dofs(interior), sigma_dofs=_node_dofs(sigma),
         zero_dofs=_node_dofs(zero), boundary_dofs=_node_dofs(boundary),
-        sigma_nodes=sigma, boundary_nodes=boundary,
         gram_scalar=gram, gram_half=np.kron(gram, np.eye(3)),
         dn_order=_node_dofs(free_nodes), fronts=fronts,
     )
@@ -579,20 +576,19 @@ class FemSystem:
         return self._cholesky
 
 
-def assemble(mesh: PartitionedMesh, L: LameVector, cache: MeshCache = None,
+def assemble(mesh: PartitionedMesh, L: LameVector, cache: MeshCache,
              warn: bool = True) -> FemSystem:
     """The system K = sum_j lambda_j A_j^lam + 2 mu_j A_j^mu on the cached
     subdomain splits; nothing is summed or factored until used.
-    Inadmissible parameters only warn (probes may wander); warn=False
-    silences that for deliberate out-of-box sweeps."""
-    if cache is None:
-        cache = build_cache(mesh)
+    A layer whose energy density is not positive definite (mu_j <= 0 or
+    2 mu_j + 3 lambda_j <= 0) only warns; warn=False silences that for
+    deliberate sweeps.  Which box is admissible is the caller's to judge."""
     if L.N != mesh.N:
         raise ValueError(f"parameter vector has N={L.N}, mesh has N={mesh.N}")
-    if warn:
-        ok, _ = check_admissible(L, DEFAULT_BOX)
-        if not ok:
-            warnings.warn("assembling with inadmissible Lamé parameters", stacklevel=2)
+    if warn and any(mu <= 0.0 or 2.0 * mu + 3.0 * lam <= 0.0
+                    for lam, mu in zip(L.lambdas, L.mus)):
+        warnings.warn("assembling with an energy density that is not positive "
+                      "definite", stacklevel=2)
     return FemSystem(cache=cache, L=L)
 
 
@@ -690,8 +686,7 @@ def element_gradients(cache: MeshCache, u: np.ndarray) -> np.ndarray:
     return np.einsum("nid,nig->ndg", u[cache.mesh.tets], cache.grads)
 
 
-def strain_energy_pairing(cache: MeshCache, dlam, dmu, u1, u2,
-                          region_labels=None) -> float:
+def strain_energy_pairing(cache: MeshCache, dlam, dmu, u1, u2) -> float:
     """sum over elements of vol * [dlam tr(e1) tr(e2) + 2 dmu e1:e2] with
     e_i the symmetric gradients and (dlam, dmu) per-subdomain constants.
     This is the exact P1 integral of (C1 - C2) e(u1) : e(u2)."""
@@ -705,22 +700,15 @@ def strain_energy_pairing(cache: MeshCache, dlam, dmu, u1, u2,
     dlam = np.asarray(dlam, dtype=float)[lab]
     dmu = np.asarray(dmu, dtype=float)[lab]
     per = dlam * tr1 * tr2 + 2.0 * dmu * np.einsum("nij,nij->n", e1, e2)
-    per = cache.vol * per
-    if region_labels is not None:
-        mask = np.isin(cache.mesh.labels, np.asarray(region_labels))
-        per = per[mask]
-    return float(per.sum())
+    return float((cache.vol * per).sum())
 
 
 def alessandrini_residual(mesh: PartitionedMesh, L1: LameVector, L2: LameVector,
-                          psi: np.ndarray, phi: np.ndarray,
-                          cache: MeshCache = None):
+                          psi: np.ndarray, phi: np.ndarray, cache: MeshCache):
     """Interior integral of (C1 - C2) e(u1):e(u2) against the DN pairing
     phi^T (Lambda_1 - Lambda_2) psi; returns (lhs, rhs, relative residual).
     Each system is factored once: u1 and u2 come from the factor that
     Lambda_1 and Lambda_2 are read off."""
-    if cache is None:
-        cache = build_cache(mesh)
     psi, phi = np.asarray(psi, dtype=float), np.asarray(phi, dtype=float)
     sys1 = assemble(mesh, L1, cache)
     sys2 = assemble(mesh, L2, cache)

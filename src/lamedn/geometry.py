@@ -50,7 +50,7 @@ class PartitionedMesh:
     boundary_tags : (nb,) int32, TAG_SIGMA on the accessible portion
     interfaces : list of dicts {"j", "k", "point", "normal"} describing the
         flat plane of each interface Sigma_k between D_j and D_k = D_{j+1}
-    r0, L_lip : the length scale / Lipschitz pair the mesh certifies
+    r0 : the length scale of the Sigma Gram
     """
 
     vertices: np.ndarray
@@ -60,7 +60,6 @@ class PartitionedMesh:
     boundary_tags: np.ndarray
     interfaces: list
     r0: float = 1.0
-    L_lip: float = 1.0
     n: int = 0
     sigma_margin: float = 0.0
     _node_sets: dict = field(default=None, repr=False, compare=False)
@@ -113,11 +112,11 @@ def build_layered_cube(N: int, n: int, sigma_margin: float = 0.0) -> Partitioned
     its edges.  Interfaces are the planes z = 1 - k/N, k = 1..N-1, with
     normals -e3 (exterior to the upper subdomain D_k).
 
-    The certified (r0, L) pair recorded on the mesh is L = 1 and
-    r0 = min(1, 3/N, 3*(1/2 - sigma_margin)): every interface plane and Sigma
-    then contain a flat disk of radius r0/3 about their center points, and the
-    +-L*r0/3 cylinders about interface centers stay inside the two adjacent
-    layers.
+    The length scale r0 = min(1, 3/N, 3*(1/2 - sigma_margin)) recorded on
+    the mesh weights the stiffness term of the Sigma Gram: every interface
+    plane and Sigma contain a flat disk of radius r0/3 about their center
+    points, and the +-r0/3 cylinders about interface centers stay inside the
+    two adjacent layers.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -188,7 +187,6 @@ def build_layered_cube(N: int, n: int, sigma_margin: float = 0.0) -> Partitioned
         boundary_tags=tags.astype(np.int32),
         interfaces=interfaces,
         r0=r0,
-        L_lip=1.0,
         n=n,
         sigma_margin=float(sigma_margin),
     )
@@ -221,7 +219,7 @@ def _boundary_faces(tets: np.ndarray) -> np.ndarray:
     return faces[counts[inverse] == 1].astype(np.int32)
 
 
-def validate_mesh(mesh: PartitionedMesh, tol: float = 1e-12) -> None:
+def validate_mesh(mesh: PartitionedMesh) -> None:
     """Raise if the mesh violates the partition/interface/chain invariants."""
     vols = mesh.tet_volumes()
     if (vols <= 1e-14).any():
@@ -254,7 +252,7 @@ def validate_mesh(mesh: PartitionedMesh, tol: float = 1e-12) -> None:
         pt = np.asarray(plane["point"])
         nrm = np.asarray(plane["normal"])
         gap = np.abs((mesh.vertices[tris[(lo == j) & (hi == kk)]] - pt) @ nrm)
-        if gap.max() > tol:
+        if gap.max() > 1e-12:
             raise ValueError(f"interface triangle off its plane by {gap.max():.2e}")
         edges.add((j, kk))
     N = mesh.N
@@ -292,7 +290,6 @@ def save_mesh(mesh: PartitionedMesh, path) -> None:
         "boundary_tags": bt.ravel().tolist(),
         "interfaces": mesh.interfaces,
         "r0": mesh.r0,
-        "L_lip": mesh.L_lip,
         "n": mesh.n,
         "sigma_margin": mesh.sigma_margin,
     }
@@ -312,7 +309,6 @@ def load_mesh(path) -> PartitionedMesh:
         boundary_tags=bt[:, 3].copy(),
         interfaces=doc["interfaces"],
         r0=float(doc.get("r0", 1.0)),
-        L_lip=float(doc.get("L_lip", 1.0)),
         n=int(doc.get("n", 0)),
         sigma_margin=float(doc.get("sigma_margin", 0.0)),
     )
@@ -335,8 +331,6 @@ class ConeChain:
     """
 
     rho: float
-    gamma1: float
-    gamma2: float
     gamma3: float
     chi: float
     H_gamma: float
@@ -388,7 +382,7 @@ def build_cone_chain(rho: float, gamma3: float, r: float) -> ConeChain:
     centers = np.zeros((k0, 3))
     centers[:, 2] = -s
     return ConeChain(
-        rho=rho, gamma1=math.asin(s1), gamma2=math.asin(s2), gamma3=gamma3,
+        rho=rho, gamma3=gamma3,
         chi=chi, H_gamma=h_gamma, t0=t0, r=r, k0=k0, t=t,
         s=s, centers=centers, r1k=s * s1, r2k=s * s2, r3k=s * s3,
     )

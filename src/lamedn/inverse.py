@@ -16,8 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import DEFAULT_BOX, AdmissibleBox, LameVector
-from .fem import (GRAM_LABEL, DnMatrix, MeshCache, assemble, build_cache, dn_matrix,
-                  dn_partials)
+from .fem import DnMatrix, MeshCache, assemble, build_cache, dn_matrix, dn_partials
 from .geometry import PartitionedMesh
 
 __all__ = [
@@ -60,11 +59,6 @@ class ForwardContext:
 
     def gram_hash(self) -> str:
         return hashlib.sha256(np.ascontiguousarray(self.cache.gram_half).tobytes()).hexdigest()[:16]
-
-    def mesh_info(self) -> dict:
-        m = self.mesh
-        return {"N": m.N, "n": m.n, "num_tets": m.num_tets,
-                "sigma_dofs": int(self.cache.sigma_dofs.size), "r0": m.r0}
 
 
 def build_context(mesh: PartitionedMesh, box: AdmissibleBox = DEFAULT_BOX) -> ForwardContext:
@@ -467,7 +461,7 @@ def q0_estimate(ctx: ForwardContext, samples) -> float:
 
 def lipschitz_probe(ctx: ForwardContext, pairs) -> dict:
     """Ratios ||L1 - L2||_inf / ||F(L1) - F(L2)||_star over parameter pairs;
-    returns {max_ratio, ratios, skipped, mesh, gram, gram_hash}."""
+    returns {max_ratio, ratios, skipped, gram_hash}."""
     ratios = []
     skipped = 0
     for L1, L2 in pairs:
@@ -485,8 +479,6 @@ def lipschitz_probe(ctx: ForwardContext, pairs) -> dict:
         "max_ratio": float(max(ratios)),
         "ratios": [float(r) for r in ratios],
         "skipped": skipped,
-        "mesh": ctx.mesh_info(),
-        "gram": GRAM_LABEL,
         "gram_hash": ctx.gram_hash(),
     }
 

@@ -20,7 +20,6 @@ from .core import poisson_ratio
 
 __all__ = [
     "BiphaseParams",
-    "AxisSource",
     "f1_alpha",
     "f2_gamma",
     "gamma_e3_upper",
@@ -113,23 +112,9 @@ class BiphaseParams:
                 and abs(self.nu_up - other.nu_up) <= tol)
 
 
-@dataclass(frozen=True)
-class AxisSource:
-    """Point force location y = (0, 0, c) on the x3 axis, c > 0."""
-
-    c: float
-
-    def __post_init__(self):
-        if not self.c > 0:
-            raise ValueError("source height c must be positive")
-
-    @property
-    def y(self) -> np.ndarray:
-        return np.array([0.0, 0.0, self.c])
-
-
-def gamma_e3_upper(x, src: AxisSource, p: BiphaseParams):
-    """Third column Gamma(x, y) e3 of the laminate solution, x in x3 >= 0.
+def gamma_e3_upper(x, c: float, p: BiphaseParams):
+    """Third column Gamma(x, y) e3 of the laminate solution, x in x3 >= 0,
+    for the point force at y = (0, 0, c), c > 0.
 
     With R1 = |x - (0,0,c)|, R2 = |x + (0,0,c)| and alpha, gamma from the
     material pair:
@@ -138,10 +123,11 @@ def gamma_e3_upper(x, src: AxisSource, p: BiphaseParams):
         B    =  (1/(4 pi mu)) { 1/R1 + alpha [ (3-4nu)/R2 + 2c(x3+c)/R2^3 ] }
         beta = -(1/(4 pi mu)) { c/R1 + alpha [ c(3-4nu)/R2 - gamma log(R2+x3+c) ] }
 
-    Gradients are closed-form.  Accepts a single point or an (m, 3) batch;
-    src may be an AxisSource or a bare positive height c.
+    Gradients are closed-form.  Accepts a single point or an (m, 3) batch.
     """
-    c = src.c if hasattr(src, "c") else AxisSource(float(src)).c
+    c = float(c)
+    if not c > 0:
+        raise ValueError("source height c must be positive")
     mu, nu = p.mu_up, p.nu_up
     alpha, gamma = p.alpha, p.gamma
 

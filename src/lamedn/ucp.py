@@ -8,7 +8,6 @@ measure smallness propagation along a cone chain.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass, field
@@ -17,7 +16,6 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from . import backend
-from .core import DEFAULT_BOX, poisson_ratio, sample_admissible
 from .geometry import ConeChain, eta_r
 
 __all__ = [
@@ -31,8 +29,6 @@ __all__ = [
     "three_sphere_fit",
     "caccioppoli_check",
     "cone_propagation_experiment",
-    "write_three_sphere_csv",
-    "write_cone_csv",
 ]
 
 
@@ -125,14 +121,13 @@ def _unit_vectors(rng, count):
 
 
 def kelvin_ensemble(count, center=(0.0, 0.0, 0.0), radius=1.0, seed=0,
-                    source_band=(1.5, 4.0), randomize_moduli=False,
-                    box=DEFAULT_BOX, source_cap=None) -> SolutionEnsemble:
+                    source_cap=None) -> SolutionEnsemble:
     """Point-source columns with sources strictly outside the validity ball.
 
-    Sources sit at distance U[source_band] * radius from the center, in random
+    Sources sit at distance U[1.5, 4] * radius from the center, in random
     directions (restricted to the upper axis cap when source_cap=(axis_dim,
     min_cos) is given); directions of the columns are random unit vectors.
-    Moduli are fixed (mu=1, nu=0.3) or drawn from the admissible box.
+    Every member has the moduli mu = 1, nu = 0.3.
     """
     rng = np.random.default_rng(seed)
     center = np.asarray(center, dtype=float)
@@ -142,15 +137,10 @@ def kelvin_ensemble(count, center=(0.0, 0.0, 0.0), radius=1.0, seed=0,
             d = _unit_vectors(rng, 1)[0]
             if source_cap is None or d[source_cap[0]] >= source_cap[1]:
                 break
-        dist = rng.uniform(*source_band) * radius
-        if randomize_moduli:
-            L = sample_admissible(1, box, rng)
-            mu, nu = L.mus[0], poisson_ratio(L.lambdas[0], L.mus[0])
-        else:
-            mu, nu = 1.0, 0.3
+        dist = rng.uniform(1.5, 4.0) * radius
         members.append(SolutionMember(
-            kind="kelvin", index=i, mu=float(mu), nu=float(nu),
-            source=center + dist * d, direction=_unit_vectors(rng, 1)[0]))
+            kind="kelvin", index=i, source=center + dist * d,
+            direction=_unit_vectors(rng, 1)[0]))
     return SolutionEnsemble(members, center, float(radius))
 
 
@@ -169,15 +159,13 @@ def linear_ensemble(count, center=(0.0, 0.0, 0.0), radius=1.0, seed=0,
 # Quadratures
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=32)
-def _panel_rule(order, panels):
-    """Composite Gauss-Legendre nodes/weights on [0, 1]: `panels` equal
-    subintervals, `order` points each.  Cached per (order, panels); the
-    arrays are read-only because every caller shares them."""
-    if order < 2 or panels < 1:
-        raise ValueError("order >= 2 and panels >= 1 required")
-    x, w = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(0.0, 1.0, panels + 1)
+@functools.cache
+def _panel_rule():
+    """Composite Gauss-Legendre nodes/weights on [0, 1]: 4 equal
+    subintervals, 6 points each.  Built once, on first use; the arrays are
+    read-only because every caller shares them."""
+    x, w = np.polynomial.legendre.leggauss(6)
+    edges = np.linspace(0.0, 1.0, 5)
     h = 0.5 * np.diff(edges)[:, None]
     nodes = (edges[:-1, None] + h * (x + 1.0)).ravel()
     weights = (h * w).ravel()
@@ -185,13 +173,13 @@ def _panel_rule(order, panels):
     return nodes, weights
 
 
-@functools.lru_cache(maxsize=32)
-def _unit_ball_rule(order, panels):
+@functools.cache
+def _unit_ball_rule():
     """Spherical tensor-product rule on the unit ball: the (rho, theta, phi)
     grid of `_panel_rule` on [0, 1] x [0, pi] x [0, 2 pi], as (m, 3) points
-    and (m,) weights with the Jacobian rho^2 sin(theta) folded in.  Cached
-    and read-only like `_panel_rule`."""
-    t, w = _panel_rule(order, panels)
+    and (m,) weights with the Jacobian rho^2 sin(theta) folded in.  Built
+    once and read-only like `_panel_rule`."""
+    t, w = _panel_rule()
     st, ct = np.sin(math.pi * t), np.cos(math.pi * t)
     cp, sp = np.cos(2.0 * math.pi * t), np.sin(2.0 * math.pi * t)
     # points[i_r, i_t, i_p, :]
@@ -204,19 +192,19 @@ def _unit_ball_rule(order, panels):
     return pts, wts
 
 
-def ball_l2(u, center, radius, order=6, panels=4) -> float:
+def ball_l2(u, center, radius) -> float:
     """Squared L2 norm of a (vector) field over a ball.
 
-    Spherical tensor-product Gauss: composite Gauss-Legendre of the given
-    order per axis on the (rho, theta, phi) grid decomposition.  The unit-ball
-    rule is built once per (order, panels) and mapped to center + radius * x
-    with weights scaled by radius^3.  The field is called on one point batch;
+    Spherical tensor-product Gauss: the composite Gauss-Legendre rule of
+    `_panel_rule` per axis of the (rho, theta, phi) grid, 24^3 points.  The
+    unit-ball rule is built once and mapped to center + radius * x with
+    weights scaled by radius^3.  The field is called on one point batch;
     any component count is accepted (the squared Euclidean norm of the output
     is integrated).
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    pts, wts = _unit_ball_rule(order, panels)
+    pts, wts = _unit_ball_rule()
     if hasattr(u, "check_ball"):
         u.check_ball(center, radius)
     center = np.asarray(center, dtype=float)
@@ -226,19 +214,19 @@ def ball_l2(u, center, radius, order=6, panels=4) -> float:
     return float(radius ** 3 * (wts @ (vals * vals)).sum())
 
 
-def cone_l2(u, rho, gamma3, order=6, panels=4) -> float:
+def cone_l2(u, rho, gamma3) -> float:
     """Squared L2 norm over the truncated cone: apex at the origin, axis -e3,
     half-angle gamma3, cut at depth H rho with H = 1/tan(gamma3).
 
     Coordinates (x3, q, phi) with the cross-section disk of radius
-    |x3| tan(gamma3) scaled to the unit q-interval, each axis on the cached
-    `_panel_rule`.
+    |x3| tan(gamma3) scaled to the unit q-interval, each axis on the
+    `_panel_rule` that `ball_l2` uses.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
     if not 0.0 < gamma3 < 0.5 * math.pi:
         raise ValueError("gamma3 must lie in (0, pi/2)")
-    t, w = _panel_rule(order, panels)
+    t, w = _panel_rule()
     tan3 = math.tan(gamma3)
     depth = rho / tan3
     z_n, z_w = depth * (t - 1.0), depth * w
@@ -271,7 +259,7 @@ class ThreeSphereFit:
 
 
 def three_sphere_fit(ensemble: SolutionEnsemble, r1, r2, r3,
-                     fit_fraction=0.5, order=6, panels=4) -> ThreeSphereFit:
+                     fit_fraction=0.5) -> ThreeSphereFit:
     """Chebyshev fit of log I2 <= theta log I1 + (1 - theta) log I3 + log C
     over concentric balls B_r1 in B_r2 in B_r3 at the ensemble center.
 
@@ -293,9 +281,9 @@ def three_sphere_fit(ensemble: SolutionEnsemble, r1, r2, r3,
     for m in ensemble:
         if m.is_zero():
             continue
-        i1 = ball_l2(m, ensemble.center, r1, order, panels)
-        i2 = ball_l2(m, ensemble.center, r2, order, panels)
-        i3 = ball_l2(m, ensemble.center, r3, order, panels)
+        i1 = ball_l2(m, ensemble.center, r1)
+        i2 = ball_l2(m, ensemble.center, r2)
+        i3 = ball_l2(m, ensemble.center, r3)
         if min(i1, i2, i3) <= 0.0:
             continue
         rows.append((m.index, i1, i2, i3))
@@ -330,8 +318,7 @@ def three_sphere_fit(ensemble: SolutionEnsemble, r1, r2, r3,
                           n_fit=int(n_fit), n_test=int(len(test)), rows=rows)
 
 
-def caccioppoli_check(ensemble: SolutionEnsemble, rho2, rho1,
-                      order=6, panels=4) -> float:
+def caccioppoli_check(ensemble: SolutionEnsemble, rho2, rho1) -> float:
     """Max over the ensemble of (rho1 - rho2)^2 * int_{B_rho2}|grad u|^2 /
     int_{B_rho1}|u|^2 -- the constant implied by the interior gradient bound.
     Zero-gradient members contribute 0."""
@@ -342,10 +329,10 @@ def caccioppoli_check(ensemble: SolutionEnsemble, rho2, rho1,
         if m.is_zero():
             continue
         num = ball_l2(lambda x: m.grad(x).reshape(np.atleast_2d(x).shape[0], 9),
-                      ensemble.center, rho2, order, panels)
+                      ensemble.center, rho2)
         if num == 0.0:
             continue
-        den = ball_l2(m, ensemble.center, rho1, order, panels)
+        den = ball_l2(m, ensemble.center, rho1)
         worst = max(worst, (rho1 - rho2) ** 2 * num / den)
     return float(worst)
 
@@ -355,8 +342,7 @@ def caccioppoli_check(ensemble: SolutionEnsemble, rho2, rho1,
 # ---------------------------------------------------------------------------
 
 def cone_propagation_experiment(chain: ConeChain, ensemble: SolutionEnsemble,
-                                eps_small: float, theta_bar=None,
-                                order=6, panels=4) -> dict:
+                                eps_small: float, theta_bar=None) -> dict:
     """Measure the implied constant of the cone propagation bound
     |u(-r e3)| <= (C / r^{3/2}) eps^{eta_r} E^{1 - eta_r}.
 
@@ -369,7 +355,7 @@ def cone_propagation_experiment(chain: ConeChain, ensemble: SolutionEnsemble,
         first = SolutionEnsemble(list(ensemble.members), chain.centers[0].copy(),
                                  float(chain.r3k[0]))
         theta_bar = three_sphere_fit(first, chain.r1k[0], chain.r2k[0], chain.r3k[0],
-                                     fit_fraction=1.0, order=order, panels=panels).theta0
+                                     fit_fraction=1.0).theta0
     eta = eta_r(chain, theta_bar)
     probe = chain.centers[-1]          # w_{k0} = -r e3
     rows, skipped, screened = [], [], []
@@ -377,11 +363,11 @@ def cone_propagation_experiment(chain: ConeChain, ensemble: SolutionEnsemble,
         if m.is_zero():
             skipped.append(m.index)
             continue
-        eps2 = ball_l2(m, chain.centers[0], chain.r1k[0], order, panels)
+        eps2 = ball_l2(m, chain.centers[0], chain.r1k[0])
         if eps2 > eps_small ** 2:
             screened.append(m.index)
             continue
-        e2 = cone_l2(m, chain.rho, chain.gamma3, order, panels)
+        e2 = cone_l2(m, chain.rho, chain.gamma3)
         eps, big_e = math.sqrt(eps2), math.sqrt(max(e2, eps2))
         value = float(np.linalg.norm(m(probe)))
         c_impl = value * chain.r ** 1.5 / (eps ** eta * big_e ** (1.0 - eta))
@@ -395,32 +381,10 @@ def cone_propagation_experiment(chain: ConeChain, ensemble: SolutionEnsemble,
     return {
         "theta_bar": float(theta_bar),
         "eta_r": float(eta),
-        "chi": chain.chi,
         "k0": chain.k0,
-        "r": chain.r,
         "rows": rows,
         "max_C_impl": float(max(r["C_impl"] for r in rows)),
         "skipped": skipped,
         "screened_out": screened,
     }
 
-
-# ---------------------------------------------------------------------------
-# CSV reports
-# ---------------------------------------------------------------------------
-
-def write_three_sphere_csv(path, fit: ThreeSphereFit):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["member_id", "r1_int", "r2_int", "r3_int"])
-        for mid, i1, i2, i3 in fit.rows:
-            w.writerow([mid, repr(float(i1)), repr(float(i2)), repr(float(i3))])
-
-
-def write_cone_csv(path, report: dict):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["member_id", "eps", "E", "value", "C_impl"])
-        for row in report["rows"]:
-            w.writerow([row["member"], repr(float(row["eps"])), repr(float(row["E"])),
-                        repr(float(row["value"])), repr(float(row["C_impl"]))])

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from lamedn.cli import (
     main,
 )
 from lamedn.fem import load_matrix_json
+from lamedn.ucp import ball_l2, kelvin_ensemble
 
 
 def _cfg(tmp_path, name, payload):
@@ -214,6 +216,17 @@ class TestChecksAndReports:
         assert rep["max_ratio"] == max(rep["ratios"])
         assert len(rep["gram_hash"]) == 16
 
+    def test_probe_in_a_wider_box_does_not_warn(self, tmp_path):
+        # alpha0 = 0.2 admits shear moduli down to 0.2, below the default
+        # box's 0.5; such samples are positive definite and assemble quietly
+        path = _cfg(tmp_path, "c.json", {"mesh": {"N": 1, "n": 4},
+                                         "box": {"alpha0": 0.2, "beta0": 1.0},
+                                         "probe": {"num_pairs": 3}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            assert main(["probe", "--config", path,
+                         "--out", str(tmp_path / "p.json")]) == EXIT_OK
+
     def test_reconstruct_report(self, tmp_path):
         out = tmp_path / "r.json"
         assert main(["reconstruct", "--out", str(out)]) == EXIT_OK
@@ -243,11 +256,16 @@ class TestChecksAndReports:
         assert rep["three_sphere"]["violation_rate"] <= 0.05
         assert rep["caccioppoli_max"] > 0
         assert rep["cone"]["max_C_impl"] > 0
-        ts = tmp_path / "u_three_sphere.csv"
-        cone = tmp_path / "u_cone.csv"
-        assert ts.exists() and cone.exists()
-        assert ts.read_text().splitlines()[0] == "member_id,r1_int,r2_int,r3_int"
-        assert cone.read_text().splitlines()[0] == "member_id,eps,E,value,C_impl"
+        ts = (tmp_path / "u_three_sphere.csv").read_text().splitlines()
+        cone = (tmp_path / "u_cone.csv").read_text().splitlines()
+        assert ts[0] == "member_id,r1_int,r2_int,r3_int"
+        assert len(ts) == 1 + rep["three_sphere"]["n_fit"] + rep["three_sphere"]["n_test"]
+        member, r1_int = ts[1].split(",")[:2]
+        m = kelvin_ensemble(60, radius=1.0, seed=0).members[int(member)]
+        assert float(r1_int) == ball_l2(m, np.zeros(3), 0.25)
+        assert cone[0] == "member_id,eps,E,value,C_impl"
+        assert len(cone) == 1 + rep["cone"]["num_rows"]
+        assert max(float(row.split(",")[4]) for row in cone[1:]) == rep["cone"]["max_C_impl"]
 
 
 class TestThreads:

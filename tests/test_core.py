@@ -60,7 +60,7 @@ class TestAdmissibility:
     @settings(max_examples=100, deadline=None)
     def test_sampled_vectors_admissible(self, seed):
         rng = np.random.default_rng(seed)
-        vec = sample_admissible(3, DEFAULT_BOX, rng)
+        vec = sample_admissible(3, DEFAULT_BOX, rng=rng)
         ok, bad = check_admissible(vec, DEFAULT_BOX)
         assert ok, bad
 
@@ -68,7 +68,7 @@ class TestAdmissibility:
     @settings(max_examples=100, deadline=None)
     def test_poisson_in_bounds_on_box(self, seed):
         rng = np.random.default_rng(seed)
-        vec = sample_admissible(2, DEFAULT_BOX, rng)
+        vec = sample_admissible(2, DEFAULT_BOX, rng=rng)
         # The range of nu over the box stated in the core module docstring.
         a0, b0 = DEFAULT_BOX.alpha0, DEFAULT_BOX.beta0
         lo, hi = -1.0 + b0 * a0 / 4.0, 0.5 - a0 ** 2 / 4.0

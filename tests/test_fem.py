@@ -43,7 +43,7 @@ class TestAssembly:
             assemble(cache_2x4.mesh, LameVector([1.0], [1.0]), cache_2x4)
 
     def test_inadmissible_parameters_warn(self, cache_2x4):
-        bad = LameVector([1.0, 1.0], [0.01, 1.0])  # mu below the box
+        bad = LameVector([-1.0, 1.0], [1.0, 1.0])  # 2 mu + 3 lambda < 0 on top
         with pytest.warns(UserWarning):
             assemble(cache_2x4.mesh, bad, cache_2x4)
         import warnings
@@ -183,7 +183,7 @@ def _two_cubes(n):
         vertices=np.vstack([a.vertices, a.vertices + [2.0, 0.0, 0.0]]),
         tets=np.vstack([a.tets, a.tets + shift]), labels=np.tile(a.labels, 2),
         boundary_faces=np.vstack([a.boundary_faces, a.boundary_faces + shift]),
-        boundary_tags=np.tile(a.boundary_tags, 2), interfaces=[], r0=a.r0, L_lip=a.L_lip, n=n)
+        boundary_tags=np.tile(a.boundary_tags, 2), interfaces=[], r0=a.r0, n=n)
 
 
 def _stretched_cube(n, factor):

@@ -1,6 +1,7 @@
 """Mesh construction/validation and the cone ball chain."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -142,6 +143,10 @@ class TestLayeredCube:
         assert back.n == mesh.n
         assert back.sigma_margin == mesh.sigma_margin
         assert back.interfaces[0]["point"][2] == pytest.approx(0.5)
+        # files written before the mesh dropped its Lipschitz constant still load
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps({**doc, "L_lip": 1.0}))
+        assert np.array_equal(load_mesh(path).vertices, mesh.vertices)
 
 
 def _boundary_faces_reference(tets):

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from lamedn import backend
 from lamedn.kernels import (
-    AxisSource,
     BiphaseParams,
     dgamma33_dt,
     elastic_residual_fd,
@@ -61,8 +60,6 @@ class TestInterfaceCoefficients:
             BiphaseParams(mu_up=0.0, nu_up=0.2, mu_low=1.0, nu_low=0.2)
         with pytest.raises(ValueError):
             BiphaseParams(mu_up=1.0, nu_up=0.2, mu_low=1.0, nu_low=0.2, variant="x")
-        with pytest.raises(ValueError):
-            AxisSource(0.0)
 
     def test_from_lame_roundtrip(self):
         p = BiphaseParams.from_lame(1.0, 1.0, 0.5, 2.0)
@@ -116,10 +113,9 @@ class TestKelvin:
 class TestLaminateSolution:
     def test_reduces_to_kelvin_for_equal_phases(self):
         p = BiphaseParams(mu_up=1.3, nu_up=0.28, mu_low=1.3, nu_low=0.28)
-        src = AxisSource(0.7)
         pts = np.array([[0.4, -0.2, 0.5], [0.0, 0.0, 2.0], [1.0, 1.0, 0.0]])
-        got = gamma_e3_upper(pts, src, p)
-        want = np.array([kelvin_matrix(x, src.y, 1.3, 0.28)[:, 2] for x in pts])
+        got = gamma_e3_upper(pts, 0.7, p)
+        want = np.array([kelvin_matrix(x, [0.0, 0.0, 0.7], 1.3, 0.28)[:, 2] for x in pts])
         assert np.allclose(got, want, atol=1e-12)
 
     @given(
@@ -134,23 +130,16 @@ class TestLaminateSolution:
         x = np.array([cx, 0.3, cz])
         if np.linalg.norm(x - [0.0, 0.0, 1.0]) < 1e-3:
             return
-        got = gamma_e3_upper(x, AxisSource(1.0), p)
+        got = gamma_e3_upper(x, 1.0, p)
         want = kelvin_matrix(x, [0.0, 0.0, 1.0], mu, nu)[:, 2]
         assert np.allclose(got, want, atol=1e-11)
 
     def test_batch_matches_single(self):
         p = BiphaseParams(mu_up=1.0, nu_up=0.25, mu_low=2.0, nu_low=0.35)
         pts = np.array([[0.1, 0.2, 0.3], [-0.5, 0.4, 1.2], [0.0, 0.0, 0.0]])
-        batch = gamma_e3_upper(pts, AxisSource(0.8), p)
+        batch = gamma_e3_upper(pts, 0.8, p)
         for row, x in zip(batch, pts):
-            assert np.array_equal(row, gamma_e3_upper(x, AxisSource(0.8), p))
-
-    def test_accepts_bare_height(self):
-        p = BiphaseParams(mu_up=1.0, nu_up=0.25, mu_low=2.0, nu_low=0.35)
-        x = np.array([0.2, 0.1, 0.4])
-        assert np.array_equal(
-            gamma_e3_upper(x, 0.8, p), gamma_e3_upper(x, AxisSource(0.8), p)
-        )
+            assert np.array_equal(row, gamma_e3_upper(x, 0.8, p))
 
     def test_domain_restrictions(self):
         p = BiphaseParams(mu_up=1.0, nu_up=0.25, mu_low=2.0, nu_low=0.35)
@@ -160,11 +149,14 @@ class TestLaminateSolution:
             gamma_e3_upper(np.array([0.0, 0.0, 1.0]), 1.0, p)  # at the source
         with pytest.raises(ValueError):
             gamma_e3_upper(np.array([0.0, 0.0]), 1.0, p)
+        for c in (0.0, -0.5):
+            with pytest.raises(ValueError, match="height"):
+                gamma_e3_upper(np.array([0.0, 0.0, 1.0]), c, p)
 
     def test_solves_upper_phase_system(self):
         p = BiphaseParams(mu_up=1.0, nu_up=0.25, mu_low=2.0, nu_low=0.35)
         lam_up = lame_lambda(p.mu_up, p.nu_up)
-        field = lambda pt: gamma_e3_upper(pt, AxisSource(1.0), p)
+        field = lambda pt: gamma_e3_upper(pt, 1.0, p)
         res = elastic_residual_fd(field, np.array([0.3, 0.2, 0.5]), lam_up, p.mu_up, 1e-2)
         assert np.abs(res).max() < 1e-5
 
@@ -176,8 +168,8 @@ class TestOnAxisDifference:
     def test_matches_direct_evaluation(self):
         for c in (0.25, 0.5, 0.75):
             direct = (
-                gamma_e3_upper(E3, AxisSource(c), self.P)[2]
-                - gamma_e3_upper(E3, AxisSource(c), self.PBAR)[2]
+                gamma_e3_upper(E3, c, self.P)[2]
+                - gamma_e3_upper(E3, c, self.PBAR)[2]
             )
             assert gamma33_ondiag_difference(self.P, self.PBAR, c) == pytest.approx(
                 direct, abs=1e-13
@@ -207,7 +199,7 @@ class TestParameterDerivative:
             pp = BiphaseParams.from_lame(
                 lam_up, self.P.mu_up, lam_l + tt * h, self.P.mu_low + tt * k
             )
-            return gamma_e3_upper(E3, AxisSource(c), pp)[2]
+            return gamma_e3_upper(E3, c, pp)[2]
 
         d1 = (g33(t) - g33(-t)) / (2 * t)
         d2 = (g33(t / 2) - g33(-t / 2)) / t

@@ -1,9 +1,10 @@
-"""The package surface: lazy root exports, the names the benchmark uses, and
-a user for every export."""
+"""The package surface: lazy root exports, the names the benchmark uses, a
+user for every export and a caller for every parameter default."""
 
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import lamedn
@@ -41,11 +42,24 @@ def test_root_exports_every_submodule_all():
 # Exports kept without a user in the package, the benchmark or the acceptance
 # suite: pointwise references that unit tests check fast paths against, the
 # paper's on-axis groups, closed-form inputs of the three-sphere tests, the
-# counterparts of the CLI's file formats, and the stability-constant bound.
+# counterparts of the CLI's file formats, the stability-constant bound, and
+# the box test that the projection tests check against.
 KEPT_WITHOUT_USER = (
     "kelvin_gradient", "elastic_residual_fd", "gamma33_ondiag_difference",
     "linear_ensemble", "load_matrix_json", "save_mesh", "propbv_constant",
+    "check_admissible",
 )
+
+# Parameter defaults kept without a caller that sets them: tests drive the
+# CLI through main(argv) and fix theta_bar to skip the cone's own fit.
+DEFAULTS_WITHOUT_CALLER = ("main.argv", "cone_propagation_experiment.theta_bar")
+
+
+def _user_files():
+    """The package's modules, the benchmark's and the acceptance suite."""
+    package = Path(lamedn.__file__).resolve().parent
+    return [*package.glob("*.py"), *ROOT.glob("perfbench/*.py"),
+            ROOT / "tests" / "test_acceptance.py"]
 
 
 def _uses(path):
@@ -77,11 +91,43 @@ def test_every_export_has_a_user():
     """Each name a submodule exports is used by the package, the benchmark
     or the acceptance suite, or is one of the exceptions kept above."""
     package = Path(lamedn.__file__).resolve().parent
-    users = [*package.glob("*.py"), *ROOT.glob("perfbench/*.py"),
-             ROOT / "tests" / "test_acceptance.py"]
-    used = set().union(*map(_uses, users))
+    used = set().union(*map(_uses, _user_files()))
     unused = [name for path in sorted(package.glob("[!_]*.py"))
               for name in getattr(importlib.import_module(f"lamedn.{path.stem}"),
                                   "__all__", ())
               if name not in used]
     assert sorted(unused) == sorted(KEPT_WITHOUT_USER)
+
+
+def _passed(path):
+    """(callee name, parameter name or position) for every argument that a
+    call in the file passes; the callee is the called Name or attribute."""
+    passed = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            passed.update((name, k.arg) for k in node.keywords)
+            passed.update((name, i) for i in range(len(node.args)))
+    return passed
+
+
+def test_every_parameter_has_a_user():
+    """Each parameter default of an exported function is overridden, by
+    keyword or at its position, by some call in the package, the benchmark or
+    the acceptance suite; a call that passes a parameter on counts, so an
+    option that no outer caller sets is flagged at every layer it crosses."""
+    package = Path(lamedn.__file__).resolve().parent
+    passed = set().union(*map(_passed, _user_files()))
+    unused = []
+    for path in sorted(package.glob("[!_]*.py")):
+        module = importlib.import_module(f"lamedn.{path.stem}")
+        for name in getattr(module, "__all__", ()):
+            fn = getattr(module, name)
+            if not inspect.isfunction(fn) or name in KEPT_WITHOUT_USER:
+                continue
+            for i, p in enumerate(inspect.signature(fn).parameters.values()):
+                if (p.default is not p.empty and (name, p.name) not in passed
+                        and (name, i) not in passed):
+                    unused.append(f"{name}.{p.name}")
+    assert sorted(unused) == sorted(DEFAULTS_WITHOUT_CALLER)

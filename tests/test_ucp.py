@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from lamedn import ucp
-from lamedn.core import DEFAULT_BOX
+from lamedn.core import poisson_ratio, sample_admissible
 from lamedn.geometry import build_cone_chain, eta_r
 from lamedn.kernels import kelvin_gradient, kelvin_matrix
 from lamedn.ucp import (
@@ -21,8 +21,6 @@ from lamedn.ucp import (
     kelvin_ensemble,
     linear_ensemble,
     three_sphere_fit,
-    write_cone_csv,
-    write_three_sphere_csv,
 )
 
 GAMMA3 = math.atan(0.5)
@@ -30,6 +28,36 @@ GAMMA3 = math.atan(0.5)
 
 def _const_field(pts):
     return np.ones((np.atleast_2d(pts).shape[0], 1))
+
+
+def _random_moduli(ens, seed):
+    """The ensemble with each member's (mu, nu) drawn from the admissible box."""
+    rng = np.random.default_rng(seed)
+    members = []
+    for m in ens:
+        L = sample_admissible(1, rng=rng)
+        members.append(dataclasses.replace(
+            m, mu=L.mus[0], nu=poisson_ratio(L.lambdas[0], L.mus[0])))
+    return SolutionEnsemble(members, ens.center, ens.radius)
+
+
+def _gauss_ball(center, radius, order, panels):
+    """Nodes and weights of the spherical tensor-product rule with `panels`
+    Gauss-Legendre panels of `order` points on each of the rho, theta and
+    phi axes, built here apart from the rule that ucp caches."""
+    x, w = np.polynomial.legendre.leggauss(order)
+
+    def axis(length):
+        edges = np.linspace(0.0, length, panels + 1)
+        h = 0.5 * np.diff(edges)[:, None]
+        return (edges[:-1, None] + h * (x + 1.0)).ravel(), (h * w).ravel()
+
+    (r, rw), (t, tw), (p, pw) = axis(radius), axis(math.pi), axis(2.0 * math.pi)
+    rr, tt, pp = np.meshgrid(r, t, p, indexing="ij")
+    pts = np.stack([rr * np.sin(tt) * np.cos(pp), rr * np.sin(tt) * np.sin(pp),
+                    rr * np.cos(tt)], axis=-1).reshape(-1, 3) + np.asarray(center)
+    wts = np.einsum("i,j,k->ijk", r ** 2 * rw, np.sin(t) * tw, pw).ravel()
+    return pts, wts
 
 
 class TestEnsembles:
@@ -53,15 +81,6 @@ class TestEnsembles:
             d = m.source - ens.center
             assert d[2] / np.linalg.norm(d) >= 0.9
 
-    def test_kelvin_randomized_moduli_stay_admissible(self):
-        # The range of nu over the box stated in the core module docstring.
-        a0, b0 = DEFAULT_BOX.alpha0, DEFAULT_BOX.beta0
-        lo, hi = -1.0 + b0 * a0 / 4.0, 0.5 - a0 ** 2 / 4.0
-        ens = kelvin_ensemble(15, seed=2, randomize_moduli=True)
-        for m in ens:
-            assert 0.5 <= m.mu <= 2.0
-            assert lo <= m.nu <= hi
-
     def test_member_batch_matches_single(self):
         m = kelvin_ensemble(1, seed=9).members[0]
         pts = np.array([[0.1, 0.2, 0.3], [-0.2, 0.0, 0.1]])
@@ -72,7 +91,7 @@ class TestEnsembles:
             assert np.array_equal(grads[i], m.grad(p))
 
     def test_kelvin_column_matches_kelvin_matrix(self):
-        ens = kelvin_ensemble(6, seed=12, randomize_moduli=True)
+        ens = _random_moduli(kelvin_ensemble(6, seed=12), seed=13)
         pts = np.random.default_rng(3).uniform(-1.0, 1.0, (40, 3))
         for m in ens:
             want = np.array([kelvin_matrix(x, m.source, m.mu, m.nu) @ m.direction
@@ -116,10 +135,6 @@ class TestQuadratures:
     def test_ball_input_validation(self):
         with pytest.raises(ValueError):
             ball_l2(_const_field, (0, 0, 0), -1.0)
-        with pytest.raises(ValueError):
-            ball_l2(_const_field, (0, 0, 0), 1.0, order=1)
-        with pytest.raises(ValueError):
-            ball_l2(_const_field, (0, 0, 0), 1.0, panels=0)
 
     def test_ball_respects_member_validity(self):
         m = SolutionMember(kind="kelvin", source=np.array([0.0, 0.0, 0.5]),
@@ -128,9 +143,11 @@ class TestQuadratures:
             ball_l2(m, (0.0, 0.0, 0.0), 0.8)
 
     def test_order_refinement_converges(self):
+        # the fixed rule (order 6, 4 panels) against order 7 on the same panels
         m = kelvin_ensemble(1, seed=6).members[0]
-        a = ball_l2(m, (0, 0, 0), 1.0, order=6)
-        b = ball_l2(m, (0, 0, 0), 1.0, order=7)
+        a = ball_l2(m, (0, 0, 0), 1.0)
+        pts, wts = _gauss_ball((0.0, 0.0, 0.0), 1.0, 7, 4)
+        b = wts @ (m(pts) ** 2).sum(axis=1)
         assert abs(a - b) / abs(b) < 1e-6
 
     def test_cone_volume_exact(self):
@@ -139,11 +156,6 @@ class TestQuadratures:
         want = math.pi * rho**3 / (3.0 * math.tan(GAMMA3))
         assert got == pytest.approx(want, rel=1e-13)
 
-    @pytest.mark.parametrize("kwargs", [{"order": 1}, {"order": 0}, {"panels": 0}])
-    def test_cone_rejects_bad_rule(self, kwargs):
-        with pytest.raises(ValueError, match="order >= 2"):
-            cone_l2(_const_field, 0.8, GAMMA3, **kwargs)
-
     @pytest.mark.parametrize("rho, gamma3", [(0.0, GAMMA3), (-0.5, GAMMA3),
                                              (0.8, 0.0), (0.8, -0.1),
                                              (0.8, 0.5 * math.pi), (0.8, 2.0)])
@@ -151,40 +163,24 @@ class TestQuadratures:
         with pytest.raises(ValueError):
             cone_l2(_const_field, rho, gamma3)
 
-    @staticmethod
-    def _tensor_product_reference(m, center, radius, order, panels):
-        """The spherical tensor-product Gauss rule built per call, with the
-        field taken from kelvin_matrix at each node."""
-        def panel(a, b):
-            x, w = np.polynomial.legendre.leggauss(order)
-            edges = np.linspace(a, b, panels + 1)
-            h = 0.5 * np.diff(edges)
-            return (np.concatenate([lo + hh * (x + 1.0) for lo, hh in zip(edges[:-1], h)]),
-                    np.concatenate([hh * w for hh in h]))
-        total = 0.0
-        for rr, rw in zip(*panel(0.0, radius)):
-            for t, tw in zip(*panel(0.0, math.pi)):
-                for p, pw in zip(*panel(0.0, 2.0 * math.pi)):
-                    x = center + rr * np.array([math.sin(t) * math.cos(p),
-                                                math.sin(t) * math.sin(p), math.cos(t)])
-                    v = kelvin_matrix(x, m.source, m.mu, m.nu) @ m.direction
-                    total += (v @ v) * rr**2 * rw * math.sin(t) * tw * pw
-        return total
-
     @pytest.mark.parametrize("center, radius, randomize", [
         ((0.0, 0.0, 0.0), 0.7, False),
         ((0.3, -0.2, 0.5), 0.6, True),
     ])
     def test_ball_kelvin_matches_tensor_product_reference(self, center, radius,
                                                           randomize):
-        ens = kelvin_ensemble(3, center=center, radius=1.0, seed=21,
-                              randomize_moduli=randomize)
+        # the fixed rule's nodes, with the field taken from kelvin_matrix at each
+        ens = kelvin_ensemble(2, center=center, radius=1.0, seed=21)
+        if randomize:
+            ens = _random_moduli(ens, seed=22)
+        pts, wts = _gauss_ball(ens.center, radius, 6, 4)
         for m in ens:
-            got = ball_l2(m, ens.center, radius, order=3, panels=2)
-            want = self._tensor_product_reference(m, ens.center, radius, 3, 2)
-            assert got == pytest.approx(want, rel=1e-13)
+            vals = np.array([kelvin_matrix(x, m.source, m.mu, m.nu) @ m.direction
+                             for x in pts])
+            want = wts @ (vals ** 2).sum(axis=1)
+            assert ball_l2(m, ens.center, radius) == pytest.approx(want, rel=1e-13)
 
-    def test_rule_built_once_per_order_and_panels(self, monkeypatch):
+    def test_rule_built_once(self, monkeypatch):
         calls = []
         leggauss = np.polynomial.legendre.leggauss
 
@@ -197,16 +193,14 @@ class TestQuadratures:
         ucp._unit_ball_rule.cache_clear()
         m = kelvin_ensemble(1, seed=6).members[0]
         for _ in range(3):
-            for order, panels in ((6, 4), (3, 2)):
-                ball_l2(m, (0.0, 0.0, 0.0), 0.5, order, panels)
-                ball_l2(_const_field, (0.1, 0.0, 0.0), 1.0, order, panels)
-                cone_l2(_const_field, 0.8, GAMMA3, order, panels)
-        assert sorted(calls) == [3, 6]
-        for order, panels in ((6, 4), (3, 2)):
-            for arr in ucp._panel_rule(order, panels) + ucp._unit_ball_rule(order, panels):
-                assert not arr.flags.writeable
-                with pytest.raises(ValueError):
-                    arr[0] = 0.0
+            ball_l2(m, (0.0, 0.0, 0.0), 0.5)
+            ball_l2(_const_field, (0.1, 0.0, 0.0), 1.0)
+            cone_l2(_const_field, 0.8, GAMMA3)
+        assert calls == [6]
+        for arr in ucp._panel_rule() + ucp._unit_ball_rule():
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 class TestThreeSphereFit:
@@ -294,11 +288,11 @@ class TestConePropagation:
         chain = self._chain()
         ens = self._ensemble()
         rep = cone_propagation_experiment(chain, ens, eps_small=1e6)
-        assert set(rep) == {"theta_bar", "eta_r", "chi", "k0", "r", "rows",
-                            "max_C_impl", "skipped", "screened_out"}
+        assert set(rep) == {"theta_bar", "eta_r", "k0", "rows", "max_C_impl",
+                            "skipped", "screened_out"}
         assert 0.0 < rep["theta_bar"] < 1.0
         assert rep["eta_r"] == pytest.approx(eta_r(chain, rep["theta_bar"]), rel=1e-12)
-        assert rep["chi"] == chain.chi
+        assert rep["k0"] == chain.k0
         assert rep["screened_out"] == [] and rep["skipped"] == []
         assert len(rep["rows"]) == len(ens)
         assert rep["max_C_impl"] == max(r["C_impl"] for r in rep["rows"])
@@ -326,26 +320,3 @@ class TestConePropagation:
             cone_propagation_experiment(chain, self._ensemble(3), 1e-30,
                                         theta_bar=0.5)
 
-
-class TestCsvReports:
-    def test_three_sphere_csv(self, tmp_path):
-        fit = three_sphere_fit(linear_ensemble(4, seed=0), 0.25, 0.5, 1.0)
-        path = tmp_path / "three_sphere.csv"
-        write_three_sphere_csv(path, fit)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "member_id,r1_int,r2_int,r3_int"
-        assert len(lines) == 1 + len(fit.rows)
-        first = lines[1].split(",")
-        assert float(first[1]) == fit.rows[0][1]
-
-    def test_cone_csv(self, tmp_path):
-        chain = build_cone_chain(1.0, GAMMA3, 0.2)
-        ens = kelvin_ensemble(3, center=(0.0, 0.0, -1.0), radius=2.5, seed=4)
-        rep = cone_propagation_experiment(chain, ens, 1e6, theta_bar=0.5)
-        path = tmp_path / "cone.csv"
-        write_cone_csv(path, rep)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "member_id,eps,E,value,C_impl"
-        assert len(lines) == 1 + len(rep["rows"])
-        row = lines[1].split(",")
-        assert float(row[4]) == rep["rows"][0]["C_impl"]
