@@ -1,7 +1,8 @@
 """The two NumPy kernels behind the FEM and the Kelvin fields.
 
-`stiffness_blocks` gives the P1 element blocks, as 3 x 3 node-pair blocks,
-that `fem.build_cache` sums into the subdomain stiffness matrices.
+`stiffness_blocks` gives the P1 stiffness of a mesh as 3 x 3 blocks summed
+per node pair and subdomain, from which `fem.build_cache` builds the
+subdomain stiffness matrices and the multifrontal plan.
 `kelvin_batch` evaluates one column Gamma(x, y) e of the Kelvin matrix at a
 batch of points; it is the Kelvin field of `ucp.SolutionMember`, and
 `kernels.kelvin_matrix` is its pointwise reference.
@@ -12,6 +13,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 # The benchmark records this in each run's environment.
 BACKEND = "pure"
@@ -19,40 +21,74 @@ BACKEND = "pure"
 __all__ = ["BACKEND", "stiffness_blocks", "kelvin_batch"]
 
 
-def stiffness_blocks(coords: np.ndarray):
-    """Per-tet P1 element data for the isotropic stiffness split.
+def stiffness_blocks(mesh):
+    """The P1 element stiffness of `mesh`, summed per node pair and subdomain.
 
-    coords: (nt, 4, 3) vertex coordinates.
-    Returns (vol, grads, a_lam, a_mu):
-      vol   (nt,)             signed volumes (positive for valid meshes)
-      grads (nt, 4, 3)        gradients of the four barycentric hat functions
-      a_lam (nt, 4, 4, 3, 3)  int div(phi_p) div(phi_q)
-      a_mu  (nt, 4, 4, 3, 3)  int sym-grad(phi_p) : sym-grad(phi_q)
-    The blocks are node-pair blocks: [n, i, k, a, b] couples component a at
-    vertex i with component b at vertex k (dofs p = 3*i + a, q = 3*k + b);
-    the global stiffness is sum_j lambda_j A_j^lam + 2 mu_j A_j^mu.
+    Returns (vol, grads, sub, rows, cols, lam, mu):
+      vol   (nt,)          tet volumes
+      grads (nt, 4, 3)     gradients of the four barycentric hat functions
+      sub, rows, cols      pair m couples node rows[m] with node cols[m] in
+                           subdomain sub[m] + 1, sorted by (sub, rows, cols)
+      lam, mu (npairs, 3, 3) the pair's summed blocks of int div(phi_p)
+                           div(phi_q) and int sym-grad(phi_p) : sym-grad(phi_q)
+    Block [m, a, b] couples component a at rows[m] with component b at
+    cols[m]; the global stiffness is sum_j lambda_j A_j^lam + 2 mu_j A_j^mu.
+    A pair on an interface occurs once per side.
+
+    Everything runs on component-major (., nt) arrays.  The gradients are
+    the cross products of the edges over the determinant, which is checked
+    first: a tet of volume <= 1e-14 raises ValueError.  The 16 node pairs
+    (i, k) of all tets have int64 keys (j, node i, node k); one sort of
+    key * 2^s + position (positions < 2^s) orders them, and a 0/1 CSR
+    matrix with one row per distinct key sums each of the nine products
+    vol g_ia g_kb in position order.  The mu blocks follow from the lambda
+    blocks by the per-tet identity A^mu = (A^lam)^T / 2 + tr(A^lam) I / 2.
     """
-    coords = np.asarray(coords, dtype=np.float64)
-    nt = coords.shape[0]
-    edges = coords[:, 1:, :] - coords[:, :1, :]
-    vol = np.linalg.det(edges) / 6.0
-    inv = np.linalg.inv(edges)
+    nv = mesh.num_vertices
+    t = mesh.tets.T.astype(np.int64)                    # (4, nt)
+    nt = t.shape[1]
+    x = mesh.vertices.T[:, t]                           # (3, 4, nt)
+    e1, e2, e3 = (x[:, j] - x[:, 0] for j in (1, 2, 3))
+    g = np.empty((4, 3, nt))
+    for out, (u, v) in zip(g[1:], ((e2, e3), (e3, e1), (e1, e2))):
+        np.multiply(u[1], v[2], out=out[0])
+        out[0] -= u[2] * v[1]
+        np.multiply(u[2], v[0], out=out[1])
+        out[1] -= u[0] * v[2]
+        np.multiply(u[0], v[1], out=out[2])
+        out[2] -= u[1] * v[0]
+    det = e1[0] * g[1, 0] + e1[1] * g[1, 1] + e1[2] * g[1, 2]
+    vol = det / 6.0
+    if (vol <= 1e-14).any():
+        raise ValueError("degenerate tet (volume <= 1e-14)")
+    g[1:] /= det
+    np.negative(g[1] + g[2] + g[3], out=g[0])
+    vg = g * vol
 
-    grads = np.empty((nt, 4, 3))
-    grads[:, 1, :] = inv[:, :, 0]
-    grads[:, 2, :] = inv[:, :, 1]
-    grads[:, 3, :] = inv[:, :, 2]
-    grads[:, 0, :] = -(grads[:, 1] + grads[:, 2] + grads[:, 3])
-
-    # a_lam = vol g_ia g_kb; a_mu = vol (delta_ab g_i . g_k + g_ib g_ka) / 2.
-    # Both C-ordered, so that the reshape below is a view of a_mu.
-    vg = vol[:, None, None] * grads
-    a_lam = np.multiply(vg[:, :, None, :, None], grads[:, None, :, None, :],
-                        out=np.empty((nt, 4, 4, 3, 3)))
-    a_mu = np.multiply(a_lam.swapaxes(3, 4), 0.5, out=np.empty_like(a_lam))
-    dots = np.einsum("nia,nka->nik", vg, grads)
-    a_mu.reshape(nt, 4, 4, 9)[..., ::4] += 0.5 * dots[..., None]
-    return vol, grads, a_lam, a_mu
+    sub = mesh.labels.astype(np.int64) - 1
+    keys = ((sub * nv + t[:, None]) * nv + t[None, :]).ravel()    # (i, k, n)
+    m = keys.size
+    shift = m.bit_length()
+    if (mesh.N * nv * nv) >> (63 - shift):
+        raise ValueError("mesh too large for int64 node-pair keys")
+    keys <<= shift
+    keys |= np.arange(m)
+    keys.sort()
+    order = keys & ((1 << shift) - 1)
+    keys >>= shift
+    first = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+    s = sp.csr_matrix((np.ones(m), order, np.append(first, m)), shape=(first.size, m))
+    lam = np.empty((first.size, 3, 3))
+    for a in range(3):
+        for b in range(3):
+            lam[:, a, b] = s @ (vg[:, None, a] * g[None, :, b]).ravel()
+    mu = np.multiply(lam.transpose(0, 2, 1), 0.5, out=np.empty_like(lam))
+    half_trace = 0.5 * (lam[:, 0, 0] + lam[:, 1, 1] + lam[:, 2, 2])
+    for a in range(3):
+        mu[:, a, a] += half_trace
+    sub, pair = np.divmod(keys[first], nv * nv)
+    rows, cols = np.divmod(pair, nv)
+    return vol, g.transpose(2, 0, 1).copy(), sub, rows, cols, lam, mu
 
 
 def kelvin_batch(points, y, mu: float, nu: float, e) -> np.ndarray:

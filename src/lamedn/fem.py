@@ -76,10 +76,10 @@ class FrontPlan:
 
     A factor is one flat array: for each front, from offset[f], its pivot
     block (p x p) and then its update rows (u x p), both column-major.  The
-    K_FF entries of those blocks (lower triangle) come from the summed
-    node-pair blocks: entry i of `fill_lam` and `fill_mu` is added at
-    `fill_dest[i]`, and the first fill_counts[0] entries come from subdomain
-    1, and so on.
+    K_FF entries of those blocks (lower triangle) come from the node-pair
+    sums of `backend.stiffness_blocks`: entry i of `fill_lam` and `fill_mu`
+    is added at `fill_dest[i]`, and the first fill_counts[0] entries come
+    from subdomain 1, and so on.
     """
 
     start: np.ndarray
@@ -108,7 +108,7 @@ class MeshCache:
 
     The splits a_lam[j], a_mu[j] are CSR with sorted indices and a full
     3 x 3 block for every node pair that a tet of subdomain j + 1 couples,
-    expanded from the node-pair sums of `_node_pair_blocks`.
+    expanded from the node-pair sums of `backend.stiffness_blocks`.
     """
 
     mesh: PartitionedMesh
@@ -118,7 +118,6 @@ class MeshCache:
     a_mu: list           # per-subdomain csr, int sym-grad : sym-grad
     interior_dofs: np.ndarray
     sigma_dofs: np.ndarray
-    zero_dofs: np.ndarray
     boundary_dofs: np.ndarray
     gram_scalar: np.ndarray  # scalar H^{1/2} Gram on sigma nodes
     gram_half: np.ndarray    # vector Gram on sigma dofs, kron(gram_scalar, I3)
@@ -166,9 +165,10 @@ def _front_plan(mesh: PartitionedMesh, interior: np.ndarray, sigma: np.ndarray,
     above it and to Sigma: a front's update set is its pivots' later
     neighbours together with its children's update sets.
 
-    The node graph and the entries come from `_node_pair_blocks`: pair m
-    couples nodes rows[m] and cols[m] in subdomain sub[m] + 1 by the 3 x 3
-    blocks lam[m] and mu[m].  A pair on an interface occurs once per side.
+    The node graph and the entries come from `backend.stiffness_blocks`:
+    pair m couples nodes rows[m] and cols[m] in subdomain sub[m] + 1 by the
+    3 x 3 blocks lam[m] and mu[m].  A pair on an interface occurs once per
+    side.
     """
     nv = mesh.num_vertices
     local = np.full(nv, -1)
@@ -309,31 +309,6 @@ def _extend_add_moves(count: int, child: np.ndarray, into_pivots: np.ndarray,
     return moves
 
 
-def _node_pair_blocks(mesh: PartitionedMesh, blk_lam: np.ndarray, blk_mu: np.ndarray):
-    """The node pairs that the tets of each subdomain couple, with their
-    summed (nt, 4, 4, 3, 3) node-pair element blocks.
-
-    Each tet couples its 16 node pairs (i, k).  The keys (j, i, k) of all
-    tets, one int64 each, are sorted once; a 0/1 matrix S with one row per
-    distinct key sums the blocks of each key, in tet order, for both splits.
-    Returns (sub, rows, cols, lam, mu) in key order: pair m couples rows[m]
-    and cols[m] in subdomain sub[m] + 1 by the blocks lam[m] and mu[m].
-    """
-    nv = mesh.num_vertices
-    t = mesh.tets.astype(np.int64)
-    sub = mesh.labels.astype(np.int64) - 1
-    keys = ((sub[:, None, None] * nv + t[:, :, None]) * nv + t[:, None, :]).ravel()
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    first = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
-    s = sp.csr_matrix((np.ones(order.size), order, np.append(first, order.size)),
-                      shape=(first.size, order.size))
-    sub, pair = np.divmod(keys[first], nv * nv)
-    rows, cols = np.divmod(pair, nv)
-    lam, mu = (s @ blk.reshape(-1, 9) for blk in (blk_lam, blk_mu))
-    return sub, rows, cols, lam.reshape(-1, 3, 3), mu.reshape(-1, 3, 3)
-
-
 def _csr_splits(mesh: PartitionedMesh, sub: np.ndarray, rows: np.ndarray,
                 cols: np.ndarray, blocks: np.ndarray) -> list:
     """One CSR matrix per subdomain from its node-pair blocks, expanded from
@@ -351,19 +326,15 @@ def _csr_splits(mesh: PartitionedMesh, sub: np.ndarray, rows: np.ndarray,
 
 
 def build_cache(mesh: PartitionedMesh) -> MeshCache:
-    """Everything about `mesh` that no Lamé vector changes: the element
-    blocks (`backend.stiffness_blocks`), summed per node pair over one sort
-    of the node-pair keys; from those sums the subdomain splits and the node
-    graph's nested-dissection order and `FrontPlan`; and the Sigma Gram
-    matrix."""
+    """Everything about `mesh` that no Lamé vector changes: the stiffness
+    summed per node pair and subdomain (`backend.stiffness_blocks`, which
+    raises ValueError on a tet of volume <= 1e-14); from those sums the
+    subdomain splits and the node graph's nested-dissection order and
+    `FrontPlan`; and the Sigma Gram matrix."""
     sets = mesh.node_sets()
     interior, sigma, zero = sets["interior"], sets["sigma"], sets["zero"]
 
-    vol, grads, blk_lam, blk_mu = backend.stiffness_blocks(mesh.vertices[mesh.tets])
-    if (vol <= 1e-14).any():
-        raise ValueError("degenerate tet (volume <= 1e-14)")
-
-    sub, rows, cols, lam, mu = _node_pair_blocks(mesh, blk_lam, blk_mu)
+    vol, grads, sub, rows, cols, lam, mu = backend.stiffness_blocks(mesh)
     a_lam = _csr_splits(mesh, sub, rows, cols, lam)
     a_mu = _csr_splits(mesh, sub, rows, cols, mu)
 
@@ -373,7 +344,7 @@ def build_cache(mesh: PartitionedMesh) -> MeshCache:
     return MeshCache(
         mesh=mesh, vol=vol, grads=grads, a_lam=a_lam, a_mu=a_mu,
         interior_dofs=_node_dofs(interior), sigma_dofs=_node_dofs(sigma),
-        zero_dofs=_node_dofs(zero), boundary_dofs=_node_dofs(boundary),
+        boundary_dofs=_node_dofs(boundary),
         gram_scalar=gram, gram_half=np.kron(gram, np.eye(3)),
         dn_order=_node_dofs(free_nodes), fronts=fronts,
     )

@@ -45,6 +45,7 @@ class ForwardContext:
     cache: MeshCache
     box: AdmissibleBox = DEFAULT_BOX
     g_ihalf: np.ndarray = field(default=None, repr=False)
+    _gram_hash: str = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.g_ihalf is None:
@@ -58,7 +59,12 @@ class ForwardContext:
         return self.cache.mesh
 
     def gram_hash(self) -> str:
-        return hashlib.sha256(np.ascontiguousarray(self.cache.gram_half).tobytes()).hexdigest()[:16]
+        """The first 16 hex digits of the sha256 of the vector Gram, hashed
+        on first use and kept: every probe report carries it."""
+        if self._gram_hash is None:
+            self._gram_hash = hashlib.sha256(
+                np.ascontiguousarray(self.cache.gram_half).tobytes()).hexdigest()[:16]
+        return self._gram_hash
 
 
 def build_context(mesh: PartitionedMesh, box: AdmissibleBox = DEFAULT_BOX) -> ForwardContext:

@@ -102,14 +102,13 @@ class BiphaseParams:
         return f2_gamma(self.mu_up, self.mu_low, self.nu_up, self.nu_low, self.variant)
 
     @classmethod
-    def from_lame(cls, lam_up, mu_up, lam_low, mu_low, variant="as-printed"):
+    def from_lame(cls, lam_up, mu_up, lam_low, mu_low):
         return cls(mu_up=mu_up, nu_up=poisson_ratio(lam_up, mu_up),
-                   mu_low=mu_low, nu_low=poisson_ratio(lam_low, mu_low),
-                   variant=variant)
+                   mu_low=mu_low, nu_low=poisson_ratio(lam_low, mu_low))
 
-    def same_upper_phase(self, other: "BiphaseParams", tol: float = 1e-12) -> bool:
-        return (abs(self.mu_up - other.mu_up) <= tol * max(1.0, abs(self.mu_up))
-                and abs(self.nu_up - other.nu_up) <= tol)
+    def same_upper_phase(self, other: "BiphaseParams") -> bool:
+        return (abs(self.mu_up - other.mu_up) <= 1e-12 * max(1.0, abs(self.mu_up))
+                and abs(self.nu_up - other.nu_up) <= 1e-12)
 
 
 def gamma_e3_upper(x, c: float, p: BiphaseParams):

@@ -98,15 +98,13 @@ class SolutionMember:
 
 @dataclass
 class SolutionEnsemble:
-    """Indexed family of exact solutions sharing a validity ball.
-
-    center/radius describe the region the generator guaranteed to be free of
-    singularities; individual members may be valid on more.
+    """Indexed family of exact solutions sharing a validity ball about
+    `center`, which the generator kept free of singularities; individual
+    members may be valid on more.
     """
 
     members: list
     center: np.ndarray
-    radius: float
 
     def __len__(self):
         return len(self.members)
@@ -141,10 +139,10 @@ def kelvin_ensemble(count, center=(0.0, 0.0, 0.0), radius=1.0, seed=0,
         members.append(SolutionMember(
             kind="kelvin", index=i, source=center + dist * d,
             direction=_unit_vectors(rng, 1)[0]))
-    return SolutionEnsemble(members, center, float(radius))
+    return SolutionEnsemble(members, center)
 
 
-def linear_ensemble(count, center=(0.0, 0.0, 0.0), radius=1.0, seed=0,
+def linear_ensemble(count, center=(0.0, 0.0, 0.0), seed=0,
                     scale=1.0) -> SolutionEnsemble:
     """Random linear displacement fields u = A x (exact solutions: all second
     derivatives vanish)."""
@@ -152,7 +150,7 @@ def linear_ensemble(count, center=(0.0, 0.0, 0.0), radius=1.0, seed=0,
     members = [SolutionMember(kind="linear", index=i,
                               matrix=scale * rng.normal(size=(3, 3)))
                for i in range(count)]
-    return SolutionEnsemble(members, np.asarray(center, dtype=float), float(radius))
+    return SolutionEnsemble(members, np.asarray(center, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +350,7 @@ def cone_propagation_experiment(chain: ConeChain, ensemble: SolutionEnsemble,
     three-sphere fit on the first chain ball triple.
     """
     if theta_bar is None:
-        first = SolutionEnsemble(list(ensemble.members), chain.centers[0].copy(),
-                                 float(chain.r3k[0]))
+        first = SolutionEnsemble(list(ensemble.members), chain.centers[0].copy())
         theta_bar = three_sphere_fit(first, chain.r1k[0], chain.r2k[0], chain.r3k[0],
                                      fit_fraction=1.0).theta0
     eta = eta_r(chain, theta_bar)

@@ -1,6 +1,8 @@
 """Forward solver: assembly, DN matrices, solves, quadrature, I/O."""
 
 import dataclasses
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -73,9 +75,9 @@ class TestAssembly:
     def test_dirichlet_trace_rows_exact(self, cache_2x4, rng):
         sys = assemble(cache_2x4.mesh, L2, cache_2x4)
         psi = random_sigma_trace(cache_2x4, rng)
-        u = solve_dirichlet(sys, psi).reshape(-1)
-        assert np.array_equal(u[cache_2x4.sigma_dofs], psi)
-        assert np.array_equal(u[cache_2x4.zero_dofs], np.zeros_like(cache_2x4.zero_dofs, dtype=float))
+        u = solve_dirichlet(sys, psi)
+        assert np.array_equal(u.reshape(-1)[cache_2x4.sigma_dofs], psi)
+        assert not u[cache_2x4.mesh.node_sets()["zero"]].any()
 
     def test_dirichlet_rejects_wrong_shape(self, cache_2x4):
         sys = assemble(cache_2x4.mesh, L2, cache_2x4)
@@ -333,6 +335,31 @@ def _coo_splits(cache):
     return splits
 
 
+class TestSetUp:
+    def test_degenerate_tet_raises_before_dividing(self):
+        mesh = build_layered_cube(1, 2)
+        tets = mesh.tets.copy()
+        tets[0] = [0, 1, 3, 4]  # the corners of one bottom-face cell: flat
+        assert not mesh.vertices[tets[0], 2].any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="degenerate tet"):
+                build_cache(dataclasses.replace(mesh, tets=tets))
+
+    def test_peak_memory_at_most_twice_the_cache(self):
+        """Under tracemalloc, the peak while build_cache runs is at most
+        twice the traced bytes that the returned cache holds."""
+        mesh = build_layered_cube(2, 12)
+        tracemalloc.start()
+        try:
+            cache = build_cache(mesh)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cache.fronts.offset[-1] > 0
+        assert peak <= 2 * kept, (peak, kept)
+
+
 class TestSplits:
     """The subdomain splits summed from node-pair blocks against the
     dof-level COO assembly: the same CSR pattern (sorted indices, a full
@@ -347,13 +374,32 @@ class TestSplits:
             assert np.abs(got.data - want.data).max() <= 1e-15 * np.abs(want.data).max()
 
     def test_node_pair_blocks_match_dof_blocks(self):
-        """On tets off the grid, where no gradient component vanishes."""
+        """On tets off the grid, where no gradient component vanishes: the
+        kernel's node-pair sums against the reference blocks summed per node
+        pair, and its closed-form gradients against inverted edge matrices."""
         mesh = build_layered_cube(2, 4)
+        rng = np.random.default_rng(5)
+        mesh = dataclasses.replace(
+            mesh, vertices=mesh.vertices + 0.02 * rng.standard_normal(mesh.vertices.shape))
+        vol, grads, sub, rows, cols, a_lam, a_mu = backend.stiffness_blocks(mesh)
         coords = mesh.vertices[mesh.tets]
-        coords = coords + 0.02 * np.random.default_rng(5).standard_normal(coords.shape)
-        vol, grads, a_lam, a_mu = backend.stiffness_blocks(coords)
-        for got, want in zip((a_lam, a_mu), _dof_blocks_reference(vol, grads)):
-            got = got.transpose(0, 1, 3, 2, 4).reshape(-1, 12, 12)
+        inv = np.linalg.inv(coords[:, 1:] - coords[:, :1])
+        assert np.abs(grads[:, 1:] - inv.transpose(0, 2, 1)).max() <= 1e-15 * np.abs(inv).max()
+        assert np.abs(grads.sum(axis=1)).max() <= 1e-15 * np.abs(inv).max()
+
+        nv, nt = mesh.num_vertices, mesh.num_tets
+        keys = (sub * nv + rows) * nv + cols
+        assert (np.diff(keys) > 0).all()
+        t = mesh.tets.astype(np.int64)
+        tet_keys = (((mesh.labels[:, None, None] - 1) * nv + t[:, :, None]) * nv
+                    + t[:, None, :]).ravel()
+        pos = np.searchsorted(keys, tet_keys)
+        assert np.array_equal(keys[pos], tet_keys)
+        assert np.unique(pos).size == keys.size
+        for got, blk in zip((a_lam, a_mu), _dof_blocks_reference(vol, grads)):
+            want = np.zeros_like(got)
+            np.add.at(want, pos, blk.reshape(nt, 4, 3, 4, 3).transpose(0, 1, 3, 2, 4)
+                      .reshape(-1, 3, 3))
             assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 

@@ -70,6 +70,17 @@ class TestContext:
         assert h == ctx_2x4.gram_hash()
         assert h != ctx_2x8.gram_hash()
 
+    def test_gram_hashed_once_on_first_use(self, cache_2x4, monkeypatch):
+        calls = []
+        sha256 = inverse.hashlib.sha256
+        monkeypatch.setattr(inverse.hashlib, "sha256",
+                            lambda data: calls.append(1) or sha256(data))
+        ctx = ForwardContext(cache=cache_2x4)
+        assert not calls
+        assert ctx.gram_hash() == ctx.gram_hash() == sha256(
+            cache_2x4.gram_half.tobytes()).hexdigest()[:16]
+        assert len(calls) == 1
+
     def test_build_context(self, mesh_1x4):
         ctx = build_context(mesh_1x4)
         assert ctx.mesh is mesh_1x4

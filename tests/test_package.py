@@ -112,22 +112,47 @@ def _passed(path):
     return passed
 
 
+def _defaults(module):
+    """(name, callee, position, parameter) for each parameter with a default
+    of the module's exported functions and of the public methods of its
+    exported classes; a method is named Class.method, called as `method`,
+    and its positions do not count self or cls."""
+    for name in getattr(module, "__all__", ()):
+        obj = getattr(module, name)
+        if name in KEPT_WITHOUT_USER:
+            continue
+        if inspect.isfunction(obj):
+            callables = [(name, name, obj, 0)]
+        elif inspect.isclass(obj):
+            callables = []
+            for attr, member in vars(obj).items():
+                if attr.startswith("_"):
+                    continue
+                if isinstance(member, (staticmethod, classmethod)):
+                    callables.append((f"{name}.{attr}", attr, member.__func__,
+                                      int(isinstance(member, classmethod))))
+                elif inspect.isfunction(member):
+                    callables.append((f"{name}.{attr}", attr, member, 1))
+        else:
+            continue
+        for qualname, callee, fn, skip in callables:
+            params = list(inspect.signature(fn).parameters.values())[skip:]
+            for i, p in enumerate(params):
+                if p.default is not p.empty:
+                    yield qualname, callee, i, p.name
+
+
 def test_every_parameter_has_a_user():
-    """Each parameter default of an exported function is overridden, by
-    keyword or at its position, by some call in the package, the benchmark or
-    the acceptance suite; a call that passes a parameter on counts, so an
-    option that no outer caller sets is flagged at every layer it crosses."""
+    """Each parameter default of an exported function or of a public method
+    of an exported class is overridden, by keyword or at its position, by
+    some call in the package, the benchmark or the acceptance suite; a call
+    that passes a parameter on counts, so an option that no outer caller sets
+    is flagged at every layer it crosses."""
     package = Path(lamedn.__file__).resolve().parent
     passed = set().union(*map(_passed, _user_files()))
-    unused = []
-    for path in sorted(package.glob("[!_]*.py")):
-        module = importlib.import_module(f"lamedn.{path.stem}")
-        for name in getattr(module, "__all__", ()):
-            fn = getattr(module, name)
-            if not inspect.isfunction(fn) or name in KEPT_WITHOUT_USER:
-                continue
-            for i, p in enumerate(inspect.signature(fn).parameters.values()):
-                if (p.default is not p.empty and (name, p.name) not in passed
-                        and (name, i) not in passed):
-                    unused.append(f"{name}.{p.name}")
+    unused = [f"{qualname}.{param}"
+              for path in sorted(package.glob("[!_]*.py"))
+              for qualname, callee, i, param in _defaults(
+                  importlib.import_module(f"lamedn.{path.stem}"))
+              if (callee, param) not in passed and (callee, i) not in passed]
     assert sorted(unused) == sorted(DEFAULTS_WITHOUT_CALLER)

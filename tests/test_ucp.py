@@ -38,7 +38,7 @@ def _random_moduli(ens, seed):
         L = sample_admissible(1, rng=rng)
         members.append(dataclasses.replace(
             m, mu=L.mus[0], nu=poisson_ratio(L.lambdas[0], L.mus[0])))
-    return SolutionEnsemble(members, ens.center, ens.radius)
+    return SolutionEnsemble(members, ens.center)
 
 
 def _gauss_ball(center, radius, order, panels):
@@ -62,11 +62,12 @@ def _gauss_ball(center, radius, order, panels):
 
 class TestEnsembles:
     def test_kelvin_sources_clear_validity_ball(self):
-        ens = kelvin_ensemble(12, center=(1.0, 0.0, 0.0), radius=0.5, seed=3)
+        radius = 0.5
+        ens = kelvin_ensemble(12, center=(1.0, 0.0, 0.0), radius=radius, seed=3)
         assert len(ens) == 12
         for m in ens:
-            assert np.linalg.norm(m.source - ens.center) >= 1.5 * ens.radius
-            m.check_ball(ens.center, ens.radius)  # must not raise
+            assert np.linalg.norm(m.source - ens.center) >= 1.5 * radius
+            m.check_ball(ens.center, radius)  # must not raise
 
     def test_kelvin_seed_reproducible(self):
         a = kelvin_ensemble(5, seed=11)
@@ -213,7 +214,7 @@ class TestThreeSphereFit:
         with pytest.raises(ValueError):
             three_sphere_fit(ens, 0.25, 0.5, 0.5)
         with pytest.raises(ValueError):
-            three_sphere_fit(SolutionEnsemble([], np.zeros(3), 1.0), *self.RADII)
+            three_sphere_fit(SolutionEnsemble([], np.zeros(3)), *self.RADII)
 
     def test_linear_ensemble_closed_form(self):
         # every linear member obeys I(r) = r^5 Q(A): residuals are member-
@@ -226,11 +227,11 @@ class TestThreeSphereFit:
 
     def test_scaling_invariance(self):
         members = kelvin_ensemble(12, seed=3).members + linear_ensemble(4, seed=4).members
-        ens = SolutionEnsemble(members, np.zeros(3), 1.0)
+        ens = SolutionEnsemble(members, np.zeros(3))
         scaled = SolutionEnsemble(
             [dataclasses.replace(m, matrix=10.0 * m.matrix) if m.kind == "linear"
              else dataclasses.replace(m, direction=10.0 * m.direction) for m in members],
-            np.zeros(3), 1.0)
+            np.zeros(3))
         fit = three_sphere_fit(ens, *self.RADII)
         fit10 = three_sphere_fit(scaled, *self.RADII)
         assert fit10.theta0 == pytest.approx(fit.theta0, abs=1e-9)
@@ -248,10 +249,10 @@ class TestThreeSphereFit:
     def test_zero_members_are_excluded(self):
         members = [SolutionMember(kind="linear", index=0, matrix=np.eye(3)),
                    SolutionMember(kind="linear", index=1, matrix=np.zeros((3, 3)))]
-        ens = SolutionEnsemble(members, np.zeros(3), 1.0)
+        ens = SolutionEnsemble(members, np.zeros(3))
         fit = three_sphere_fit(ens, *self.RADII, fit_fraction=1.0)
         assert len(fit.rows) == 1
-        all_zero = SolutionEnsemble(members[1:], np.zeros(3), 1.0)
+        all_zero = SolutionEnsemble(members[1:], np.zeros(3))
         with pytest.raises(ValueError, match="vanishes"):
             three_sphere_fit(all_zero, *self.RADII)
 
