@@ -24,39 +24,31 @@ __all__ = ["BACKEND", "stiffness_blocks", "kelvin_batch"]
 def stiffness_blocks(mesh):
     """The P1 element stiffness of `mesh`, summed per node pair and subdomain.
 
-    Returns (vol, grads, sub, rows, cols, lam, mu):
-      vol   (nt,)          tet volumes
-      grads (nt, 4, 3)     gradients of the four barycentric hat functions
-      sub, rows, cols      pair m couples node rows[m] with node cols[m] in
-                           subdomain sub[m] + 1, sorted by (sub, rows, cols)
-      lam, mu (npairs, 3, 3) the pair's summed blocks of int div(phi_p)
-                           div(phi_q) and int sym-grad(phi_p) : sym-grad(phi_q)
-    Block [m, a, b] couples component a at rows[m] with component b at
-    cols[m]; the global stiffness is sum_j lambda_j A_j^lam + 2 mu_j A_j^mu.
-    A pair on an interface occurs once per side.
+    Returns (vol, grads, sub, rows, cols, lam, mu): the tet volumes (nt,),
+    the barycentric gradients (nt, 4, 3), and per node pair m, sorted by
+    (sub, rows, cols), the (3, 3) blocks lam[m] of int div(phi_p) div(phi_q)
+    and mu[m] of int sym-grad(phi_p) : sym-grad(phi_q) that couple component
+    a at node rows[m] with component b at node cols[m] in subdomain
+    sub[m] + 1 (a pair on an interface occurs once per side).  The global
+    stiffness is sum_j lambda_j A_j^lam + 2 mu_j A_j^mu.
 
     Everything runs on component-major (., nt) arrays.  The gradients are
     the cross products of the edges over the determinant, which is checked
     first: a tet of volume <= 1e-14 raises ValueError.  The 16 node pairs
     (i, k) of all tets have int64 keys (j, node i, node k); one sort of
-    key * 2^s + position (positions < 2^s) orders them, and a 0/1 CSR
-    matrix with one row per distinct key sums each of the nine products
-    vol g_ia g_kb in position order.  The mu blocks follow from the lambda
-    blocks by the per-tet identity A^mu = (A^lam)^T / 2 + tr(A^lam) I / 2.
+    key * 2^s + position orders them, and a 0/1 CSR matrix with one row per
+    key sums each of the nine products vol g_ia g_kb in position order.
+    The mu blocks follow from the per-tet identity
+    A^mu = (A^lam)^T / 2 + tr(A^lam) I / 2.
     """
     nv = mesh.num_vertices
     t = mesh.tets.T.astype(np.int64)                    # (4, nt)
-    nt = t.shape[1]
     x = mesh.vertices.T[:, t]                           # (3, 4, nt)
     e1, e2, e3 = (x[:, j] - x[:, 0] for j in (1, 2, 3))
-    g = np.empty((4, 3, nt))
+    g = np.empty((4, 3, t.shape[1]))
     for out, (u, v) in zip(g[1:], ((e2, e3), (e3, e1), (e1, e2))):
-        np.multiply(u[1], v[2], out=out[0])
-        out[0] -= u[2] * v[1]
-        np.multiply(u[2], v[0], out=out[1])
-        out[1] -= u[0] * v[2]
-        np.multiply(u[0], v[1], out=out[2])
-        out[2] -= u[1] * v[0]
+        for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            np.subtract(u[b] * v[c], u[c] * v[b], out=out[a])
     det = e1[0] * g[1, 0] + e1[1] * g[1, 1] + e1[2] * g[1, 2]
     vol = det / 6.0
     if (vol <= 1e-14).any():
@@ -71,21 +63,16 @@ def stiffness_blocks(mesh):
     shift = m.bit_length()
     if (mesh.N * nv * nv) >> (63 - shift):
         raise ValueError("mesh too large for int64 node-pair keys")
-    keys <<= shift
-    keys |= np.arange(m)
-    keys.sort()
+    keys = np.sort((keys << shift) | np.arange(m))
     order = keys & ((1 << shift) - 1)
     keys >>= shift
     first = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
     s = sp.csr_matrix((np.ones(m), order, np.append(first, m)), shape=(first.size, m))
     lam = np.empty((first.size, 3, 3))
-    for a in range(3):
-        for b in range(3):
-            lam[:, a, b] = s @ (vg[:, None, a] * g[None, :, b]).ravel()
+    for a, b in np.ndindex(3, 3):
+        lam[:, a, b] = s @ (vg[:, None, a] * g[None, :, b]).ravel()
     mu = np.multiply(lam.transpose(0, 2, 1), 0.5, out=np.empty_like(lam))
-    half_trace = 0.5 * (lam[:, 0, 0] + lam[:, 1, 1] + lam[:, 2, 2])
-    for a in range(3):
-        mu[:, a, a] += half_trace
+    mu.reshape(-1, 9)[:, ::4] += 0.5 * np.trace(lam, axis1=1, axis2=2)[:, None]
     sub, pair = np.divmod(keys[first], nv * nv)
     rows, cols = np.divmod(pair, nv)
     return vol, g.transpose(2, 0, 1).copy(), sub, rows, cols, lam, mu

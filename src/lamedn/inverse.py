@@ -59,8 +59,7 @@ class ForwardContext:
         return self.cache.mesh
 
     def gram_hash(self) -> str:
-        """The first 16 hex digits of the sha256 of the vector Gram, hashed
-        on first use and kept: every probe report carries it."""
+        """16 hex digits of the vector Gram's sha256, hashed on first use."""
         if self._gram_hash is None:
             self._gram_hash = hashlib.sha256(
                 np.ascontiguousarray(self.cache.gram_half).tobytes()).hexdigest()[:16]
