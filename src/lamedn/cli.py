@@ -130,17 +130,15 @@ def _same_type(value, default):
 
 
 def _validate_config(cfg):
-    """Raise ConfigError on a value out of range or of the wrong type."""
-    mesh, box, params = cfg["mesh"], cfg["box"], cfg["parameters"]
+    """Raise ConfigError on a value out of range or of the wrong type.  The
+    range rules of the mesh, box and parameters are their constructors'."""
+    from .core import LameVector
+    from .geometry import _check_cube_arguments
+    mesh, params = cfg["mesh"], cfg["parameters"]
     try:
         if mesh.get("path") is None:
-            n_sub, n = int(mesh["N"]), int(mesh["n"])
-            if n_sub < 1 or n < 1 or n % n_sub:
-                raise ConfigError("mesh requires N >= 1 and n a positive multiple of N")
-            if not (0.0 <= float(mesh["margin"]) < 0.5):
-                raise ConfigError("mesh margin must lie in [0, 0.5)")
-        if not (0.0 < float(box["alpha0"]) <= 1.0) or float(box["beta0"]) <= 0.0:
-            raise ConfigError("box requires 0 < alpha0 <= 1 and beta0 > 0")
+            _check_cube_arguments(int(mesh["N"]), int(mesh["n"]), float(mesh["margin"]))
+        _get_box(cfg)
         if params is not None:
             if not isinstance(params, dict) or "lambdas" not in params or "mus" not in params:
                 raise ConfigError("parameters must supply lambdas and mus lists")
@@ -148,8 +146,7 @@ def _validate_config(cfg):
                 if not isinstance(params[key], list) or not all(
                         _same_type(v, 0.0) for v in params[key]):
                     raise ConfigError(f"parameters {key} must be a list of numbers")
-            if len(params["lambdas"]) != len(params["mus"]):
-                raise ConfigError("lambdas and mus must have equal length")
+            LameVector(params["lambdas"], params["mus"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
     for name in _COMMAND_SECTIONS:
@@ -183,8 +180,7 @@ def _get_parameters(cfg, mesh):
     params = cfg["parameters"]
     if params is None:
         return LameVector([1.0] * mesh.N, [1.0] * mesh.N)
-    vec = LameVector([float(v) for v in params["lambdas"]],
-                     [float(v) for v in params["mus"]])
+    vec = LameVector(params["lambdas"], params["mus"])
     if vec.N != mesh.N:
         raise ConfigError(f"parameters have {vec.N} layers, mesh has {mesh.N}")
     return vec

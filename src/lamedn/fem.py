@@ -8,7 +8,7 @@ the accessible boundary patch Sigma last), and from that one factor the
 discrete local Dirichlet-to-Neumann (DN) matrix as a Schur complement, its
 parameter partials, and every interior solve: Dirichlet solves with data on
 Sigma or on the whole boundary.  Also the discrete H^{1/2}(Sigma) Gram
-matrix and the Gram-whitened operator norm, and Alessandrini's identity.
+matrix with the factor that whitens it, and Alessandrini's identity.
 
 Element integrals are exact for P1 (constant strain); no quadrature error
 enters the identity checks.  A conical-product Gauss rule on tets is provided
@@ -19,14 +19,14 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 # Unused here; the benchmark's tracer (perfbench/spans.py) patches `fem.spla`.
 import scipy.sparse.linalg as spla  # noqa: F401
-from scipy.linalg import blas, lapack
+from scipy.linalg import blas, eigh, lapack
 from scipy.special import roots_jacobi, roots_legendre
 
 from . import backend
@@ -104,7 +104,8 @@ class FrontPlan:
 @dataclass
 class MeshCache:
     """Per-mesh data reused across parameter vectors: subdomain stiffness
-    splits, dof partition, the multifrontal plan and the Sigma Gram matrix.
+    splits, dof partition, the multifrontal plan, and the Sigma Gram matrix
+    with its whitening factor.
 
     The splits a_lam[j], a_mu[j] are CSR with sorted indices and a full
     3 x 3 block for every node pair that a tet of subdomain j + 1 couples,
@@ -119,8 +120,8 @@ class MeshCache:
     interior_dofs: np.ndarray
     sigma_dofs: np.ndarray
     boundary_dofs: np.ndarray
-    gram_scalar: np.ndarray  # scalar H^{1/2} Gram on sigma nodes
-    gram_half: np.ndarray    # vector Gram on sigma dofs, kron(gram_scalar, I3)
+    gram_half: np.ndarray    # vector H^{1/2} Gram on sigma dofs, kron(G, I3)
+    whitening: np.ndarray    # kron(C, I3), C C^T = G^{-1}
     dn_order: np.ndarray   # interior dofs in dissection order, then sigma_dofs
     fronts: FrontPlan      # multifrontal plan on the dissection tree of dn_order
 
@@ -330,7 +331,7 @@ def build_cache(mesh: PartitionedMesh) -> MeshCache:
     summed per node pair and subdomain (`backend.stiffness_blocks`, which
     raises ValueError on a tet of volume <= 1e-14); from those sums the
     subdomain splits and the node graph's nested-dissection order and
-    `FrontPlan`; and the Sigma Gram matrix."""
+    `FrontPlan`; and the Sigma Gram matrix and its whitening factor."""
     sets = mesh.node_sets()
     interior, sigma, zero = sets["interior"], sets["sigma"], sets["zero"]
 
@@ -339,13 +340,14 @@ def build_cache(mesh: PartitionedMesh) -> MeshCache:
     a_mu = _csr_splits(mesh, sub, rows, cols, mu)
 
     free_nodes, fronts = _front_plan(mesh, interior, sigma, sub, rows, cols, lam, mu)
+    del sub, rows, cols, lam, mu  # freed before the Gram, which the cache keeps
     boundary = np.sort(np.concatenate([sigma, zero]))
-    gram = _sigma_gram(mesh, sigma)
+    gram, whitening = _sigma_gram(mesh, sigma)
     return MeshCache(
         mesh=mesh, vol=vol, grads=grads, a_lam=a_lam, a_mu=a_mu,
         interior_dofs=_node_dofs(interior), sigma_dofs=_node_dofs(sigma),
         boundary_dofs=_node_dofs(boundary),
-        gram_scalar=gram, gram_half=np.kron(gram, np.eye(3)),
+        gram_half=gram, whitening=whitening,
         dn_order=_node_dofs(free_nodes), fronts=fronts,
     )
 
@@ -389,30 +391,31 @@ def _surface_p1(mesh: PartitionedMesh, faces: np.ndarray):
     return mass, stiff
 
 
-def _sigma_gram(mesh: PartitionedMesh, sigma_nodes: np.ndarray) -> np.ndarray:
-    """Discrete scalar H^{1/2}(Sigma) Gram on the Sigma trace nodes.
+def _sigma_gram(mesh: PartitionedMesh, sigma_nodes: np.ndarray):
+    """The discrete H^{1/2}(Sigma) Gram on the Sigma trace dofs and a factor
+    that whitens it: G (x) I3 and C (x) I3, with G the scalar Gram on the
+    Sigma trace nodes and C C^T = G^{-1}.
 
-    G = M^{1/2} (M^{-1/2} (M + r0^2 S) M^{-1/2})^{1/2} M^{1/2} with M, S the
-    surface P1 mass/stiffness on the Sigma patch restricted to trace nodes.
-    The vector Gram on the trace dofs is its Kronecker product with the 3x3
-    identity.
+    G = M # (M + r0^2 S) = M^{1/2} (M^{-1/2} (M + r0^2 S) M^{-1/2})^{1/2} M^{1/2},
+    the geometric mean of M and M + r0^2 S, with M, S the surface P1
+    mass/stiffness on the Sigma patch restricted to trace nodes.  Both come
+    from one generalized eigendecomposition (M + r0^2 S) V = M V Theta,
+    V^T M V = I: G = M V Theta^{1/2} V^T M and C = V Theta^{-1/4}, so that
+    C^T G C = I.  Raises ValueError when M is not positive definite.
     """
     faces = mesh.boundary_faces[mesh.boundary_tags == TAG_SIGMA]
     mass, stiff = _surface_p1(mesh, faces)
     m = mass[sigma_nodes][:, sigma_nodes].toarray()
     s = stiff[sigma_nodes][:, sigma_nodes].toarray()
-
-    w, u = np.linalg.eigh(m)
-    if w.min() <= 0:
-        raise ValueError("surface mass matrix not positive definite")
-    m_half = (u * np.sqrt(w)) @ u.T
-    m_ihalf = (u / np.sqrt(w)) @ u.T
-    inner = m_ihalf @ (m + mesh.r0 ** 2 * s) @ m_ihalf
-    inner = 0.5 * (inner + inner.T)
-    w2, u2 = np.linalg.eigh(inner)
-    root = (u2 * np.sqrt(np.maximum(w2, 0.0))) @ u2.T
-    g = m_half @ root @ m_half
-    return 0.5 * (g + g.T)
+    try:
+        theta, v = eigh(m + mesh.r0 ** 2 * s, m)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("surface mass matrix not positive definite") from exc
+    mv = m @ v
+    g = (mv * np.sqrt(theta)) @ mv.T
+    # in C order: np.kron of a Fortran-ordered array allocates its result twice
+    c = np.ascontiguousarray(v * theta ** -0.25)
+    return np.kron(0.5 * (g + g.T), np.eye(3)), np.kron(c, np.eye(3))
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +524,6 @@ class FemSystem:
 
     cache: MeshCache
     L: LameVector
-    _cholesky: FrontFactor = field(default=None, repr=False, compare=False)
 
     @property
     def mesh(self) -> PartitionedMesh:
@@ -530,21 +532,19 @@ class FemSystem:
     @cached_property
     def stiffness(self) -> sp.csr_matrix:
         """K = sum_j lambda_j A_j^lam + 2 mu_j A_j^mu in natural dof order,
-        for the energy pairings and right-hand sides; the factor reads the
-        subdomain splits directly."""
+        for the right-hand side of `solve_with_boundary_values`; the factor
+        is filled from the `FrontPlan` fill arrays, not from this matrix."""
         cache, L = self.cache, self.L
         k = sp.csr_matrix((cache.num_dofs, cache.num_dofs))
         for j in range(L.N):
             k = k + L.lambdas[j] * cache.a_lam[j] + 2.0 * L.mus[j] * cache.a_mu[j]
         return k
 
-    @property
+    @cached_property
     def cholesky(self) -> FrontFactor:
         """The multifrontal Cholesky factor of K_FF that the DN matrix, its
         partials and every interior solve use: one per system."""
-        if self._cholesky is None:
-            self._cholesky = _factor_fronts(self.cache, self.L)
-        return self._cholesky
+        return _factor_fronts(self.cache, self.L)
 
 
 def assemble(mesh: PartitionedMesh, L: LameVector, cache: MeshCache,

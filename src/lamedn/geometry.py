@@ -62,7 +62,7 @@ class PartitionedMesh:
     r0: float = 1.0
     n: int = 0
     sigma_margin: float = 0.0
-    _node_sets: dict = field(default=None, repr=False, compare=False)
+    _node_sets: dict = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def N(self) -> int:
@@ -105,6 +105,19 @@ class PartitionedMesh:
         return np.einsum("ij,ij->i", np.cross(e1, e2), e3) / 6.0
 
 
+def _check_cube_arguments(N: int, n: int, sigma_margin: float) -> None:
+    """Raise ValueError unless `build_layered_cube` accepts these arguments
+    (the CLI checks its mesh section with this before building anything)."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    if n % N:
+        raise ValueError(f"n = {n} not divisible by N = {N}")
+    if not (0.0 <= sigma_margin < 0.5):
+        raise ValueError("sigma_margin must lie in [0, 0.5)")
+
+
 def build_layered_cube(N: int, n: int, sigma_margin: float = 0.0) -> PartitionedMesh:
     """Unit cube, n^3 cells split 6-fold, N equal horizontal layers.
 
@@ -118,15 +131,7 @@ def build_layered_cube(N: int, n: int, sigma_margin: float = 0.0) -> Partitioned
     points, and the +-r0/3 cylinders about interface centers stay inside the
     two adjacent layers.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if n % N:
-        raise ValueError(f"n = {n} not divisible by N = {N}")
-    if not (0.0 <= sigma_margin < 0.5):
-        raise ValueError("sigma_margin must lie in [0, 0.5)")
-
+    _check_cube_arguments(N, n, sigma_margin)
     m = n + 1
     axis = np.linspace(0.0, 1.0, m)
     zz, yy, xx = np.meshgrid(axis, axis, axis, indexing="ij")

@@ -2,8 +2,10 @@
 
 The forward map F sends a piecewise-constant Lamé vector to the discrete
 local DN matrix on Sigma.  Everything here works in the Gram-whitened
-geometry of the DN operator norm: matrices are conjugated by G^{-1/2} once
-and compared in spectral or Frobenius norm afterwards.
+geometry of the DN operator norm: matrices X are whitened once, to C^T X C
+with the cache's factor C (C C^T = G^{-1}, `_whitened`), and compared in
+spectral or Frobenius norm afterwards.  Those norms, eigenvalues and inner
+products depend on C only through C C^T, so any such factor gives them.
 """
 
 from __future__ import annotations
@@ -37,22 +39,11 @@ __all__ = [
 
 @dataclass
 class ForwardContext:
-    """Shared immutable state for repeated forward/derivative evaluations.
-
-    `g_ihalf` is G^{-1/2} for the vector Gram G = g (x) I3 of the cache,
-    formed as g^{-1/2} (x) I3 from one eigh of the scalar Gram g."""
+    """Shared immutable state for repeated forward/derivative evaluations."""
 
     cache: MeshCache
     box: AdmissibleBox = DEFAULT_BOX
-    g_ihalf: np.ndarray = field(default=None, repr=False)
     _gram_hash: str = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.g_ihalf is None:
-            w, u = np.linalg.eigh(self.cache.gram_scalar)
-            if w.min() <= 0:
-                raise ValueError("Gram matrix must be positive definite")
-            self.g_ihalf = np.kron((u / np.sqrt(w)) @ u.T, np.eye(3))
 
     @property
     def mesh(self) -> PartitionedMesh:
@@ -75,13 +66,20 @@ def forward(ctx: ForwardContext, L: LameVector) -> DnMatrix:
     return dn_matrix(assemble(ctx.mesh, L, ctx.cache))
 
 
+def _whitened(ctx: ForwardContext, x) -> np.ndarray:
+    """C^T x C, with C the cache's whitening factor (C C^T = G^{-1}), for a
+    matrix x or for each matrix of a sequence x, stacked."""
+    c = ctx.cache.whitening
+    return c.T @ np.asarray(x) @ c
+
+
 def star_norm(ctx: ForwardContext, delta: np.ndarray) -> float:
-    """Operator norm ||G^{-1/2} delta G^{-1/2}||_2 using the cached root.
+    """Operator norm ||delta||_star = ||C^T delta C||_2 of the whitened matrix.
 
     delta is taken as symmetric (a difference of DN matrices, or symmetrised
     noise): the norm is the largest |eigenvalue| of the symmetric part of
     the whitened matrix, which costs an eigvalsh instead of an SVD."""
-    w = ctx.g_ihalf @ np.asarray(delta) @ ctx.g_ihalf
+    w = _whitened(ctx, delta)
     return float(np.abs(np.linalg.eigvalsh(0.5 * (w + w.T))).max())
 
 
@@ -113,12 +111,6 @@ def frechet_derivative(ctx: ForwardContext, L: LameVector) -> Jacobian:
 # ---------------------------------------------------------------------------
 # q0: smallest whitened derivative norm over unit sup-norm directions
 # ---------------------------------------------------------------------------
-
-def _whitened(ctx: ForwardContext, jac: Jacobian) -> np.ndarray:
-    """The (2N, n, n) stack of whitened partials M_p = G^{-1/2} J_p G^{-1/2}
-    that every face of one sample indexes."""
-    return np.array([ctx.g_ihalf @ jp @ ctx.g_ihalf for jp in jac.mats])
-
 
 def _fit(cols, p):
     """Coefficients c minimising ||vec M_p + sum_{q != p} c_q vec M_q||_2, with
@@ -385,7 +377,8 @@ def q0_search(ctx: ForwardContext, samples) -> Q0Search:
     best, gap, where, steps = np.inf, 0.0, None, []
     skipped = cut = capped = certified = lp_steps = 0
     for i, L in enumerate(samples):
-        stack = _whitened(ctx, frechet_derivative(ctx, L))
+        # the whitened partials M_p = C^T J_p C that every face indexes
+        stack = _whitened(ctx, frechet_derivative(ctx, L).mats)
         if not stack.any():
             warnings.warn("all-zero Jacobian: q0 = 0", stacklevel=3)
             best, gap, where = 0.0, 0.0, (i, 0, 1.0, np.zeros(len(stack) - 1))
@@ -536,7 +529,7 @@ class ReconstructTrace(list):
 
 def reconstruct(ctx: ForwardContext, Lambda_obs, L_init: LameVector, opts: dict = None):
     """Projected Gauss-Newton on the whitened residual
-    r(L) = vec(G^{-1/2} (F(L) - Lambda_obs) G^{-1/2}).
+    r(L) = vec(C^T (F(L) - Lambda_obs) C), C C^T = G^{-1} (`_whitened`).
 
     Levenberg damping scaled to the residual: the step solves
     (A^T A + c ||r_k|| I) delta = -A^T r_k, with c = 1e-6 at the start, x10
@@ -546,9 +539,9 @@ def reconstruct(ctx: ForwardContext, Lambda_obs, L_init: LameVector, opts: dict 
     Euclidean projection of the step onto the admissible set, and is
     accepted when it lowers ||r||.  The iteration stops, and the trace's
     `stop_reason` says why, with
-      - "step_tol": the accepted step's sup-norm is at most tol (default
-        1e-10), or a candidate that close to the last accepted iterate
-        fails to lower the residual (that iterate is returned);
+      - "step_tol": a candidate lies within tol (default 1e-10, sup-norm) of
+        the last accepted iterate; it is not evaluated, and that iterate is
+        returned;
       - "max_iters": max_iters steps were accepted;
       - "damping_limit": c passed 1e14 without a descent.
     Each evaluated point is factored once: the Jacobian of an accepted point
@@ -564,23 +557,21 @@ def reconstruct(ctx: ForwardContext, Lambda_obs, L_init: LameVector, opts: dict 
     truth = opts.get("truth")
 
     obs = Lambda_obs.entries if isinstance(Lambda_obs, DnMatrix) else np.asarray(Lambda_obs)
-    gih = ctx.g_ihalf
 
     def evaluate(arr):
         sys = assemble(ctx.mesh, LameVector.from_array(arr), ctx.cache)
-        return sys, (gih @ (dn_matrix(sys).entries - obs) @ gih).ravel()
+        return sys, _whitened(ctx, dn_matrix(sys).entries - obs).ravel()
 
     cur = _project_feasible(ctx, L_init.as_array())
     sys, r = evaluate(cur)
     trace = ReconstructTrace([_trace_entry(0, r, cur, truth)])
     c = 1e-6
     for k in range(1, max_iters + 1):
-        a = np.column_stack([(gih @ jp @ gih).ravel() for jp in dn_partials(sys)])
+        a = _whitened(ctx, dn_partials(sys)).reshape(cur.size, -1).T
         sys = None  # free this factor before a candidate's is built
         ata = a.T @ a
         atr = a.T @ r
         r_norm = np.linalg.norm(r)
-        accepted, step_inf = False, np.inf
         while c <= 1e14:
             try:
                 delta = np.linalg.solve(ata + c * r_norm * np.eye(ata.shape[0]), -atr)
@@ -588,25 +579,22 @@ def reconstruct(ctx: ForwardContext, Lambda_obs, L_init: LameVector, opts: dict 
                 c *= 10.0
                 continue
             cand = _project_feasible(ctx, cur + delta)
-            step_inf = np.abs(cand - cur).max()
+            if np.abs(cand - cur).max() <= tol:
+                trace.stop_reason = "step_tol"
+                break
             sys, r_new = evaluate(cand)
             if np.linalg.norm(r_new) < r_norm:
-                accepted = True
                 break
             sys = None
             trace.rejected += 1
-            if step_inf <= tol:
-                break
             c *= 10.0
-        if not accepted:
-            trace.stop_reason = "step_tol" if step_inf <= tol else "damping_limit"
+        else:
+            trace.stop_reason = "damping_limit"
+        if sys is None:  # no candidate accepted
             break
         cur, r = cand, r_new
         c = max(c / 3.0, 1e-14)
         trace.append(_trace_entry(k, r, cur, truth))
-        if step_inf <= tol:
-            trace.stop_reason = "step_tol"
-            break
     return LameVector.from_array(cur), trace
 
 

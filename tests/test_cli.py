@@ -85,6 +85,21 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("config error")
         assert not (tmp_path / "o.json").exists()
 
+    @pytest.mark.parametrize("command", ["forward", "q0"])
+    @pytest.mark.parametrize("payload", [
+        {"mesh": {"N": 1, "n": 1}}, {"box": {"alpha0": 1.0}}, {"box": {"beta0": 2.5}},
+        {"parameters": {"lambdas": [], "mus": []}},
+        {"parameters": {"lambdas": [1e400], "mus": [1.0]}}])
+    def test_out_of_range_is_config_error(self, tmp_path, capsys, command, payload):
+        # the range rules are the constructors': build_layered_cube wants
+        # n >= 2, AdmissibleBox alpha0 < 1 and beta0 < 2, LameVector N >= 1
+        # finite values (json reads 1e400 as inf)
+        path = _cfg(tmp_path, "bad.json", payload)
+        code = main([command, "--config", path, "--out", str(tmp_path / "o.json")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error")
+        assert not (tmp_path / "o.json").exists()
+
     def test_parameter_layer_mismatch_is_config_error(self, tmp_path, capsys):
         path = _cfg(tmp_path, "p.json",
                     {"parameters": {"lambdas": [1.0, 1.0], "mus": [1.0, 1.0]}})

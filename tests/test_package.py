@@ -2,6 +2,7 @@
 user for every export and a caller for every parameter default."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -115,12 +116,20 @@ def _passed(path):
 def _defaults(module):
     """(name, callee, position, parameter) for each parameter with a default
     of the module's exported functions and of the public methods of its
-    exported classes; a method is named Class.method, called as `method`,
-    and its positions do not count self or cls."""
+    exported classes, and for each init field with a default of its exported
+    dataclasses; a method is named Class.method, called as `method`, and its
+    positions do not count self or cls; a field is named and called as its
+    class, at its position among the init fields."""
     for name in getattr(module, "__all__", ()):
         obj = getattr(module, name)
         if name in KEPT_WITHOUT_USER:
             continue
+        if dataclasses.is_dataclass(obj):
+            fields = [f for f in dataclasses.fields(obj) if f.init]
+            for i, f in enumerate(fields):
+                if (f.default is not dataclasses.MISSING
+                        or f.default_factory is not dataclasses.MISSING):
+                    yield name, name, i, f.name
         if inspect.isfunction(obj):
             callables = [(name, name, obj, 0)]
         elif inspect.isclass(obj):
@@ -144,7 +153,8 @@ def _defaults(module):
 
 def test_every_parameter_has_a_user():
     """Each parameter default of an exported function or of a public method
-    of an exported class is overridden, by keyword or at its position, by
+    of an exported class, and each init field default of an exported
+    dataclass, is overridden, by keyword or at its position, by
     some call in the package, the benchmark or the acceptance suite; a call
     that passes a parameter on counts, so an option that no outer caller sets
     is flagged at every layer it crosses."""
