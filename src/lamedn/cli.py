@@ -106,10 +106,10 @@ def load_config(path=None, seed=None) -> dict:
     return cfg
 
 
-# Sections read only by the command bodies, and the tolerances that a None
-# value switches off.
-_COMMAND_SECTIONS = ("tolerances", "identity", "derivative", "kernels", "q0",
-                     "probe", "reconstruct", "ucp")
+# The sections whose values must have the types of their defaults, and the
+# tolerances that a None value switches off.  mesh.path is a string or None.
+_TYPED_SECTIONS = ("mesh", "box", "tolerances", "identity", "derivative", "kernels",
+                   "q0", "probe", "reconstruct", "ucp")
 _SWITCHED_OFF_BY_NONE = ("q0_positive", "max_ratio_limit")
 
 
@@ -130,14 +130,26 @@ def _same_type(value, default):
 
 
 def _validate_config(cfg):
-    """Raise ConfigError on a value out of range or of the wrong type.  The
+    """Raise ConfigError on a value of the wrong type or out of range.  The
     range rules of the mesh, box and parameters are their constructors'."""
     from .core import LameVector
     from .geometry import _check_cube_arguments
+    for name in _TYPED_SECTIONS:
+        for key, default in _DEFAULTS[name].items():
+            value = cfg[name][key]
+            if key == "path":
+                ok = value is None or isinstance(value, str)
+            else:
+                ok = (_same_type(value, default)
+                      or (value is None and key in _SWITCHED_OFF_BY_NONE))
+            if not ok:
+                raise ConfigError(f"{name}.{key} = {value!r} has the wrong type")
+    if not _same_type(cfg["seed"], _DEFAULTS["seed"]):
+        raise ConfigError("seed must be an integer")
     mesh, params = cfg["mesh"], cfg["parameters"]
     try:
-        if mesh.get("path") is None:
-            _check_cube_arguments(int(mesh["N"]), int(mesh["n"]), float(mesh["margin"]))
+        if mesh["path"] is None:
+            _check_cube_arguments(mesh["N"], mesh["n"], mesh["margin"])
         _get_box(cfg)
         if params is not None:
             if not isinstance(params, dict) or "lambdas" not in params or "mus" not in params:
@@ -149,14 +161,6 @@ def _validate_config(cfg):
             LameVector(params["lambdas"], params["mus"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
-    for name in _COMMAND_SECTIONS:
-        for key, default in _DEFAULTS[name].items():
-            value = cfg[name][key]
-            if not (_same_type(value, default)
-                    or (value is None and key in _SWITCHED_OFF_BY_NONE)):
-                raise ConfigError(f"{name}.{key} = {value!r} has the wrong type")
-    if not isinstance(cfg["seed"], int):
-        raise ConfigError("seed must be an integer")
     if cfg["q0"]["samples"] not in ("seeded", "vertices"):
         raise ConfigError('q0 samples must be "seeded" or "vertices"')
 

@@ -27,7 +27,6 @@ import scipy.sparse as sp
 # Unused here; the benchmark's tracer (perfbench/spans.py) patches `fem.spla`.
 import scipy.sparse.linalg as spla  # noqa: F401
 from scipy.linalg import blas, eigh, lapack
-from scipy.special import roots_jacobi, roots_legendre
 
 from . import backend
 from .core import LameVector
@@ -699,14 +698,32 @@ def alessandrini_residual(mesh: PartitionedMesh, L1: LameVector, L2: LameVector,
 # Tet quadrature and H^1 errors
 # ---------------------------------------------------------------------------
 
+def _gauss_jacobi(n: int, alpha: float):
+    """n-point Gauss rule for the weight (1 - x)^alpha on [-1, 1], alpha > 0:
+    the nodes are the eigenvalues of the Jacobi matrix of the Jacobi
+    polynomials P^(alpha, 0), and each weight is the weight's mass
+    2^(alpha+1) / (alpha+1) times the squared first component of its unit
+    eigenvector (Golub & Welsch, Math. Comp. 23, 1969)."""
+    k = np.arange(n, dtype=float)
+    s = 2.0 * k + alpha
+    diag = -alpha ** 2 / (s * (s + 2.0))
+    k, s = k[1:], s[1:]
+    off = 2.0 * k * (k + alpha) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
+    x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return x, 2.0 ** (alpha + 1) / (alpha + 1) * v[0] ** 2
+
+
 def tet_quadrature(degree: int):
     """Conical-product Gauss rule on the reference tet, exact for polynomials
-    of total degree <= degree.  Returns (barycentric points (nq, 4), weights
-    summing to 1); integrate f over a tet T as vol(T) * sum w_q f(x_q)."""
+    of total degree <= degree: Gauss-Jacobi rules for the weights (1 - x)^2
+    and (1 - x) in the collapsed first and second coordinates and a
+    Gauss-Legendre rule in the third, n = (degree + 2) // 2 points each.
+    Returns (barycentric points (nq, 4), weights summing to 1); integrate f
+    over a tet T as vol(T) * sum w_q f(x_q)."""
     n = max(1, (degree + 2) // 2)
-    xu, wu = roots_jacobi(n, 2.0, 0.0)
-    xv, wv = roots_jacobi(n, 1.0, 0.0)
-    xw, ww = roots_legendre(n)
+    xu, wu = _gauss_jacobi(n, 2.0)
+    xv, wv = _gauss_jacobi(n, 1.0)
+    xw, ww = np.polynomial.legendre.leggauss(n)
     xu, wu = (xu + 1) / 2, wu / 8.0
     xv, wv = (xv + 1) / 2, wv / 4.0
     xw, ww = (xw + 1) / 2, ww / 2.0

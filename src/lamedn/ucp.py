@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import backend
 from .geometry import ConeChain, eta_r
@@ -256,6 +255,44 @@ class ThreeSphereFit:
     rows: list = field(default_factory=list, repr=False)
 
 
+def _least_spread(c, s, lo, hi):
+    """Smallest minimiser on [lo, hi] of the spread max_i r_i - min_i r_i of
+    the lines r_i(theta) = c_i - theta s_i.
+
+    The spread is convex and piecewise linear: near theta it is the line
+    r_i - r_k of the pair (i, k) = (argmax, argmin), with slope s_k - s_i.
+    The loop keeps a piece with negative slope at lo and one with
+    non-negative slope at hi, and evaluates the piece at their crossing.
+    If it has the slope of either, the spread is linear from the crossing to
+    that end, so the crossing is the smallest minimiser; otherwise it
+    replaces the end on its side.  Each replacement is a piece not seen
+    before, so the loop ends after at most as many steps as the spread has
+    pieces, on a kink rather than within a tolerance of one.
+    """
+    def piece(theta):
+        r = c - theta * s
+        i, k = r.argmax(), r.argmin()
+        return c[i] - c[k], s[k] - s[i]
+
+    a_lo, m_lo = piece(lo)
+    if m_lo >= 0.0:
+        return lo
+    a_hi, m_hi = piece(hi)
+    if m_hi < 0.0:
+        return hi
+    while True:
+        theta = (a_lo - a_hi) / (m_hi - m_lo)
+        if not lo < theta < hi:
+            return min(max(theta, lo), hi)
+        a, m = piece(theta)
+        if m in (m_lo, m_hi):
+            return theta
+        if m < 0.0:
+            lo, a_lo, m_lo = theta, a, m
+        else:
+            hi, a_hi, m_hi = theta, a, m
+
+
 def three_sphere_fit(ensemble: SolutionEnsemble, r1, r2, r3,
                      fit_fraction=0.5) -> ThreeSphereFit:
     """Chebyshev fit of log I2 <= theta log I1 + (1 - theta) log I3 + log C
@@ -263,11 +300,14 @@ def three_sphere_fit(ensemble: SolutionEnsemble, r1, r2, r3,
 
     With residuals r_i(theta) = log I2_i - theta log I1_i - (1-theta) log I3_i
     the fit minimizes the maximum violation of the uniform bound over the fit
-    half: theta ranges over (0, 1) in a bounded 1-D search, the intercept is
-    the Chebyshev-optimal (max+min)/2 so the objective is the residual spread,
-    and log C is the max residual at the optimum (the bound is tight at the
-    worst fit member).  The violation rate counts held-out members exceeding
-    the fitted bound.
+    half: the intercept is the Chebyshev-optimal (max+min)/2, so the objective
+    is the residual spread, which is convex and piecewise linear in theta.
+    theta0 is its exact minimiser on [1e-6, 1 - 1e-6], a kink of the spread
+    or a bound.  Where the spread is flat at its minimum, theta0 is the
+    smallest minimiser; a spread flat throughout (one fit member, or members
+    whose residuals differ by constants) gives theta0 = 1e-6.  log C is the
+    max residual at theta0 (the bound is tight at the worst fit member).  The
+    violation rate counts held-out members exceeding the fitted bound.
     """
     if not (0.0 < r1 <= r2 < r3):
         raise ValueError("radii must satisfy 0 < r1 <= r2 < r3")
@@ -294,18 +334,8 @@ def three_sphere_fit(ensemble: SolutionEnsemble, r1, r2, r3,
     fit, test = logs[:n_fit], logs[n_fit:]
 
     a1, b, a3 = fit[:, 0], fit[:, 1], fit[:, 2]
-
-    def residuals(theta):
-        return b - theta * a1 - (1.0 - theta) * a3
-
-    def spread(theta):
-        r = residuals(theta)
-        return float(r.max() - r.min())
-
-    res = minimize_scalar(spread, bounds=(1e-6, 1.0 - 1e-6),
-                          method="bounded", options={"xatol": 1e-12})
-    theta0 = float(min(max(res.x, 1e-6), 1.0 - 1e-6))
-    logc = float(residuals(theta0).max())
+    theta0 = float(_least_spread(b - a3, a1 - a3, 1e-6, 1.0 - 1e-6))
+    logc = float((b - theta0 * a1 - (1.0 - theta0) * a3).max())
 
     if len(test):
         viol = test[:, 1] - theta0 * test[:, 0] - (1.0 - theta0) * test[:, 2]

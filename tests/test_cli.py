@@ -100,6 +100,19 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("config error")
         assert not (tmp_path / "o.json").exists()
 
+    @pytest.mark.parametrize("payload", [
+        {"mesh": {"N": 1.7, "n": 4.9}}, {"mesh": {"n": 4.0}}, {"mesh": {"N": True}},
+        {"mesh": {"margin": "0"}}, {"mesh": {"path": 3}}, {"box": {"alpha0": "0.1"}},
+        {"seed": True}])
+    def test_wrong_type_is_config_error(self, tmp_path, capsys, payload):
+        # a value is not converted to the type of its default: N = 1.7 is
+        # not the N = 1 mesh, "0.1" is not a number, true is not 1
+        path = _cfg(tmp_path, "bad.json", payload)
+        code = main(["forward", "--config", path, "--out", str(tmp_path / "o.json")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error")
+        assert not (tmp_path / "o.json").exists()
+
     def test_parameter_layer_mismatch_is_config_error(self, tmp_path, capsys):
         path = _cfg(tmp_path, "p.json",
                     {"parameters": {"lambdas": [1.0, 1.0], "mus": [1.0, 1.0]}})

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.special import roots_jacobi
 
 from lamedn import backend, fem
 from lamedn.core import LameVector, poisson_ratio, sample_admissible
@@ -439,6 +440,16 @@ class TestQuadratureAndNorms:
         assert w.sum() == pytest.approx(1.0, rel=1e-14)
         assert (bary >= -1e-14).all()
         assert np.allclose(bary.sum(axis=1), 1.0)
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.0])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_gauss_jacobi_matches_scipy(self, n, alpha):
+        # weights to 1e-14 of their sum 2^(alpha+1)/(alpha+1): at n = 6,
+        # alpha = 2 SciPy's own weights are 1.0e-14 off a 40-digit reference
+        x, w = fem._gauss_jacobi(n, alpha)
+        x_ref, w_ref = roots_jacobi(n, alpha, 0.0)
+        assert np.abs(x - x_ref).max() <= 1e-14
+        assert np.abs(w - w_ref).max() <= 1e-14 * w_ref.sum()
 
     def test_polynomial_exactness(self):
         # int over the reference tet of x^2 y equals 1/360 = vol * sum w x^2 y

@@ -6,6 +6,10 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import lamedn
@@ -30,6 +34,31 @@ def test_benchmark_targets_resolve():
         assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
     assert callable(importlib.import_module("lamedn.fem").spla.splu)
     assert isinstance(importlib.import_module("lamedn.backend").BACKEND, str)
+
+
+def test_package_loads_no_scipy_optimize_or_special():
+    # The package computes with scipy.linalg and scipy.sparse alone: every
+    # module, the benchmark's workloads and tracer, a three-sphere fit and a
+    # tet rule load neither subpackage, each of which costs MB of resident
+    # memory in every process.
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), str(ROOT / "perfbench"),
+                                         os.environ.get("PYTHONPATH")]))
+    code = textwrap.dedent("""
+        import importlib, pkgutil, sys
+        import lamedn
+        for info in pkgutil.iter_modules(lamedn.__path__):
+            importlib.import_module(f"lamedn.{info.name}")
+        import spans, workloads
+        from lamedn.fem import tet_quadrature
+        from lamedn.ucp import linear_ensemble, three_sphere_fit
+        three_sphere_fit(linear_ensemble(2, seed=0), 0.25, 0.5, 1.0)
+        tet_quadrature(4)
+        print(*sorted({"scipy.optimize", "scipy.special"} & set(sys.modules)))
+        """)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 def test_root_exports_every_submodule_all():

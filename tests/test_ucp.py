@@ -204,6 +204,21 @@ class TestQuadratures:
                 arr[0] = 0.0
 
 
+def _least_spread_brute(rows, lo=1e-6, hi=1.0 - 1e-6):
+    """Minimiser of the residual spread over the bounds and every pairwise
+    crossing of the residual lines inside them, where the minimum of a
+    convex piecewise-linear spread must lie."""
+    a1, b, a3 = np.log(np.asarray([row[1:] for row in rows])).T
+    c, s = b - a3, a1 - a3
+    i, j = np.triu_indices(len(c), 1)
+    keep = s[i] != s[j]
+    theta = (c[i] - c[j])[keep] / (s[i] - s[j])[keep]
+    theta = np.concatenate([[lo], np.sort(theta[(theta > lo) & (theta < hi)]), [hi]])
+    spread = np.concatenate([np.ptp(c[None, :] - part[:, None] * s[None, :], axis=1)
+                             for part in np.array_split(theta, 20)])
+    return theta[np.argmin(spread)]
+
+
 class TestThreeSphereFit:
     RADII = (0.25, 0.5, 1.0)
 
@@ -255,6 +270,38 @@ class TestThreeSphereFit:
         all_zero = SolutionEnsemble(members[1:], np.zeros(3))
         with pytest.raises(ValueError, match="vanishes"):
             three_sphere_fit(all_zero, *self.RADII)
+
+    def _fit(self, monkeypatch, logs, fit_fraction=1.0):
+        """The fit over members whose ball integrals at RADII are exp(logs)."""
+        members = [SolutionMember(kind="linear", index=i, matrix=np.eye(3))
+                   for i in range(len(logs))]
+        table = {(i, r): math.exp(v) for i, row in enumerate(logs)
+                 for r, v in zip(self.RADII, row)}
+        monkeypatch.setattr(ucp, "ball_l2", lambda m, center, r: table[m.index, r])
+        return three_sphere_fit(SolutionEnsemble(members, np.zeros(3)), *self.RADII,
+                                fit_fraction=fit_fraction)
+
+    @pytest.mark.parametrize("seed", [42, 455])
+    def test_matches_brute_force(self, seed):
+        fit = three_sphere_fit(kelvin_ensemble(400, radius=1.0, seed=seed), *self.RADII)
+        want = _least_spread_brute(fit.rows[:fit.n_fit])
+        assert abs(fit.theta0 - want) <= 1e-13 * want
+
+    @pytest.mark.parametrize("kink, theta0", [(-0.5, 1e-6), (1.5, 1.0 - 1e-6)])
+    def test_kink_outside_bounds_clips(self, monkeypatch, kink, theta0):
+        # residuals c_i - theta s_i with s = (0, 1) cross at theta = c_2 - c_1
+        fit = self._fit(monkeypatch, [(0.0, 0.0, 0.0), (1.0, kink, 0.0)])
+        assert fit.theta0 == theta0
+
+    @pytest.mark.parametrize("logs, fit_fraction", [
+        ([(-3.0, -1.0, 0.0), (-2.0, -0.5, 0.0)], 0.5),   # one member in the fit half
+        ([(-3.0, -1.0, 0.0), (-3.0, -0.5, 0.0)], 1.0)])  # parallel residual lines
+    def test_flat_spread_gives_lower_bound(self, monkeypatch, logs, fit_fraction):
+        fit = self._fit(monkeypatch, logs, fit_fraction)
+        assert fit.theta0 == 1e-6
+        a1, b, a3 = np.log([row[1:] for row in fit.rows[:fit.n_fit]]).T
+        want = (b - 1e-6 * a1 - (1.0 - 1e-6) * a3).max()
+        assert fit.logC == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
 class TestCaccioppoli:
