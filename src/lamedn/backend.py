@@ -1,8 +1,9 @@
 """The two NumPy kernels behind the FEM and the Kelvin fields.
 
-`stiffness_blocks` gives the P1 stiffness of a mesh as 3 x 3 blocks summed
-per node pair and subdomain, from which `fem.build_cache` builds the
-subdomain stiffness matrices and the multifrontal plan.
+`stiffness_blocks` gives the P1 lambda-stiffness of a mesh as 3 x 3 blocks
+summed per node pair and subdomain, from which `fem.build_cache` builds the
+subdomain stiffness matrices and the multifrontal plan; the mu-stiffness is
+a fixed linear function of it per block, applied in `fem`.
 `kelvin_batch` evaluates one column Gamma(x, y) e of the Kelvin matrix at a
 batch of points; it is the Kelvin field of `ucp.SolutionMember`, and
 `kernels.kelvin_matrix` is its pointwise reference.
@@ -22,15 +23,18 @@ __all__ = ["BACKEND", "stiffness_blocks", "kelvin_batch"]
 
 
 def stiffness_blocks(mesh):
-    """The P1 element stiffness of `mesh`, summed per node pair and subdomain.
+    """The P1 lambda-stiffness of `mesh`, summed per node pair and subdomain.
 
-    Returns (vol, grads, sub, rows, cols, lam, mu): the tet volumes (nt,),
-    the barycentric gradients (nt, 4, 3), and per node pair m, sorted by
-    (sub, rows, cols), the (3, 3) blocks lam[m] of int div(phi_p) div(phi_q)
-    and mu[m] of int sym-grad(phi_p) : sym-grad(phi_q) that couple component
-    a at node rows[m] with component b at node cols[m] in subdomain
-    sub[m] + 1 (a pair on an interface occurs once per side).  The global
-    stiffness is sum_j lambda_j A_j^lam + 2 mu_j A_j^mu.
+    Returns (vol, grads, sub, rows, cols, lam): the tet volumes (nt,), the
+    barycentric gradients (nt, 4, 3), and per node pair m, sorted by
+    (sub, rows, cols), the (3, 3) block lam[m] of int div(phi_p) div(phi_q)
+    that couples component a at node rows[m] with component b at node
+    cols[m] in subdomain sub[m] + 1 (a pair on an interface occurs once per
+    side).  The global stiffness is sum_j lambda_j A_j^lam + 2 mu_j A_j^mu.
+    The mu blocks of int sym-grad(phi_p) : sym-grad(phi_q) are not formed
+    here: per block they are the linear function
+    A^mu = (A^lam)^T / 2 + tr(A^lam) I / 2 of the lam blocks, which
+    `fem._mu_blocks` applies where they are needed.
 
     Everything runs on component-major (., nt) arrays.  The gradients are
     the cross products of the edges over the determinant, which is checked
@@ -38,8 +42,6 @@ def stiffness_blocks(mesh):
     (i, k) of all tets have int64 keys (j, node i, node k); one sort of
     key * 2^s + position orders them, and a 0/1 CSR matrix with one row per
     key sums each of the nine products vol g_ia g_kb in position order.
-    The mu blocks follow from the per-tet identity
-    A^mu = (A^lam)^T / 2 + tr(A^lam) I / 2.
     """
     nv = mesh.num_vertices
     t = mesh.tets.T.astype(np.int64)                    # (4, nt)
@@ -71,11 +73,9 @@ def stiffness_blocks(mesh):
     lam = np.empty((first.size, 3, 3))
     for a, b in np.ndindex(3, 3):
         lam[:, a, b] = s @ (vg[:, None, a] * g[None, :, b]).ravel()
-    mu = np.multiply(lam.transpose(0, 2, 1), 0.5, out=np.empty_like(lam))
-    mu.reshape(-1, 9)[:, ::4] += 0.5 * np.trace(lam, axis1=1, axis2=2)[:, None]
     sub, pair = np.divmod(keys[first], nv * nv)
     rows, cols = np.divmod(pair, nv)
-    return vol, g.transpose(2, 0, 1).copy(), sub, rows, cols, lam, mu
+    return vol, g.transpose(2, 0, 1).copy(), sub, rows, cols, lam
 
 
 def kelvin_batch(points, y, mu: float, nu: float, e) -> np.ndarray:

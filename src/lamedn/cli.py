@@ -425,7 +425,8 @@ def cmd_reconstruct(cfg, out):
     if noise > 0.0:
         raw = rng.standard_normal(lam_obs.shape)
         raw = 0.5 * (raw + raw.T)
-        pert = ctx.cache.gram_half @ raw @ ctx.cache.gram_half
+        gram = ctx.cache.gram_half
+        pert = gram @ raw @ gram
         pert *= noise * star_norm(ctx, lam_obs) / star_norm(ctx, pert)
         lam_obs = lam_obs + pert
 

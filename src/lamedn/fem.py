@@ -78,7 +78,8 @@ class FrontPlan:
     K_FF entries of those blocks (lower triangle) come from the node-pair
     sums of `backend.stiffness_blocks`: entry i of `fill_lam` and `fill_mu`
     is added at `fill_dest[i]`, and the first fill_counts[0] entries come
-    from subdomain 1, and so on.
+    from subdomain 1, and so on.  `fill_mu` is `_mu_blocks` of the lam
+    blocks, formed once here because every factorisation reads it.
     """
 
     start: np.ndarray
@@ -102,25 +103,28 @@ class FrontPlan:
 
 @dataclass
 class MeshCache:
-    """Per-mesh data reused across parameter vectors: subdomain stiffness
-    splits, dof partition, the multifrontal plan, and the Sigma Gram matrix
-    with its whitening factor.
+    """Per-mesh data reused across parameter vectors, each kept once: the
+    lambda-stiffness splits, dof partition, the multifrontal plan, and the
+    scalar Sigma Gram matrix with its whitening factor.
 
-    The splits a_lam[j], a_mu[j] are CSR with sorted indices and a full
-    3 x 3 block for every node pair that a tet of subdomain j + 1 couples,
-    expanded from the node-pair sums of `backend.stiffness_blocks`.
+    The splits a_lam[j] are CSR with sorted indices and a full 3 x 3 block
+    for every node pair that a tet of subdomain j + 1 couples, expanded from
+    the node-pair sums of `backend.stiffness_blocks`.  The mu-stiffness is
+    not kept: `_mu_split` derives A_j^mu from a_lam[j] where it is needed.
+    G and C are node-level (s x s, s the Sigma trace nodes); the vector Gram
+    on the Sigma trace dofs is G (x) I3 (`gram_half`), and C acts on each
+    displacement component alike (`inverse._whitened`).
     """
 
     mesh: PartitionedMesh
     vol: np.ndarray
     grads: np.ndarray
     a_lam: list          # per-subdomain csr, int div phi_p div phi_q
-    a_mu: list           # per-subdomain csr, int sym-grad : sym-grad
     interior_dofs: np.ndarray
     sigma_dofs: np.ndarray
     boundary_dofs: np.ndarray
-    gram_half: np.ndarray    # vector H^{1/2} Gram on sigma dofs, kron(G, I3)
-    whitening: np.ndarray    # kron(C, I3), C C^T = G^{-1}
+    gram: np.ndarray       # scalar H^{1/2} Gram G on the Sigma trace nodes
+    whitening: np.ndarray  # C, C C^T = G^{-1}
     dn_order: np.ndarray   # interior dofs in dissection order, then sigma_dofs
     fronts: FrontPlan      # multifrontal plan on the dissection tree of dn_order
 
@@ -128,12 +132,19 @@ class MeshCache:
     def num_dofs(self) -> int:
         return 3 * self.mesh.num_vertices
 
+    @property
+    def gram_half(self) -> np.ndarray:
+        """The vector H^{1/2} Gram on the Sigma trace dofs, G (x) I3, formed
+        on each call."""
+        return np.kron(self.gram, np.eye(3))
+
     @cached_property
     def dn_blocks(self) -> list:
         """Per subdomain j: the positions in `dn_order` of the free dofs its
-        tets touch, and A_j^lam, A_j^mu restricted to those dofs.  Built on
-        first use (by `dn_partials`), so meshes whose DN map is never
-        differentiated do not pay for it."""
+        tets touch, and A_j^lam, A_j^mu restricted to those dofs, A_j^mu from
+        the restricted A_j^lam (`_mu_split`).  Built on first use (by
+        `dn_partials`), so meshes whose DN map is never differentiated do not
+        pay for it."""
         mesh, order = self.mesh, self.dn_order
         pos = np.full(self.num_dofs, -1)
         pos[order] = np.arange(order.size)
@@ -142,7 +153,8 @@ class MeshCache:
             idx = pos[_node_dofs(np.unique(mesh.tets[mesh.labels == j + 1]))]
             idx = np.sort(idx[idx >= 0])
             free = order[idx]
-            blocks.append((idx, self.a_lam[j][free][:, free], self.a_mu[j][free][:, free]))
+            a_lam = self.a_lam[j][free][:, free]
+            blocks.append((idx, a_lam, _mu_split(a_lam)))
         return blocks
 
 
@@ -150,9 +162,34 @@ def _node_dofs(nodes: np.ndarray) -> np.ndarray:
     return (3 * nodes[:, None] + np.arange(3)).ravel()
 
 
+def _mu_blocks(lam: np.ndarray) -> np.ndarray:
+    """The (k, 3, 3) node-pair blocks of int sym-grad(phi_p) : sym-grad(phi_q)
+    from those of int div(phi_p) div(phi_q): A^mu = (A^lam)^T / 2
+    + tr(A^lam) I / 2, which holds per tet and so for any sum of tets."""
+    mu = np.multiply(lam.transpose(0, 2, 1), 0.5, out=np.empty_like(lam))
+    mu.reshape(-1, 9)[:, ::4] += 0.5 * np.trace(lam, axis1=1, axis2=2)[:, None]
+    return mu
+
+
+def _mu_split(a: sp.csr_matrix) -> sp.csr_matrix:
+    """A^mu with the CSR pattern of a lambda-stiffness matrix `a` whose rows
+    and columns come in node triples (components 0, 1, 2) with a full 3 x 3
+    block per coupled node pair, as `_csr_splits` builds them and their
+    restrictions to whole nodes keep them: the three rows of a node list the
+    same blocks in the same order, so its entries are one (3, blocks, 3)
+    array, regrouped into blocks for `_mu_blocks`."""
+    row = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+    q = np.arange(a.nnz) - a.indptr[row]
+    node, comp = np.divmod(row, 3)
+    flat = a.indptr[3 * node] + 9 * (q // 3) + 3 * comp + q % 3
+    lam = np.empty(a.nnz)
+    lam[flat] = a.data
+    mu = _mu_blocks(lam.reshape(-1, 3, 3)).reshape(-1)
+    return sp.csr_matrix((mu[flat], a.indices, a.indptr), shape=a.shape)
+
+
 def _front_plan(mesh: PartitionedMesh, interior: np.ndarray, sigma: np.ndarray,
-                sub: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                lam: np.ndarray, mu: np.ndarray):
+                sub: np.ndarray, rows: np.ndarray, cols: np.ndarray, lam: np.ndarray):
     """Free nodes in dissection order (interior, then `sigma`) and the
     `FrontPlan` on the dissection tree.
 
@@ -167,8 +204,8 @@ def _front_plan(mesh: PartitionedMesh, interior: np.ndarray, sigma: np.ndarray,
 
     The node graph and the entries come from `backend.stiffness_blocks`:
     pair m couples nodes rows[m] and cols[m] in subdomain sub[m] + 1 by the
-    3 x 3 blocks lam[m] and mu[m].  A pair on an interface occurs once per
-    side.
+    3 x 3 block lam[m], and by `_mu_blocks` of it.  A pair on an interface
+    occurs once per side.
     """
     nv = mesh.num_vertices
     local = np.full(nv, -1)
@@ -256,12 +293,13 @@ def _front_plan(mesh: PartitionedMesh, interior: np.ndarray, sigma: np.ndarray,
     ld = np.where(piv, p[f], u[f])
     base = offset[f] + np.where(piv, 0, p[f] ** 2) + 3 * row + 3 * (pc - bounds[f]) * ld
     three = np.arange(3)
+    fill_lam = lam[keep]
     plan = FrontPlan(
         start=3 * bounds[:-1], stop=3 * bounds[1:], offset=offset,
         update=np.split(_node_dofs(flat), 3 * np.cumsum(sizes)[:-1]), children=children,
         moves=_extend_add_moves(nf - 1, child, into_pivots, lands),
         fill_dest=(base[:, None, None] + three[:, None] + ld[:, None, None] * three).ravel(),
-        fill_lam=lam[keep].ravel(), fill_mu=mu[keep].ravel(),
+        fill_lam=fill_lam.ravel(), fill_mu=_mu_blocks(fill_lam).ravel(),
         fill_counts=9 * np.bincount(sub[keep], minlength=mesh.N))
     return perm, plan
 
@@ -326,27 +364,27 @@ def _csr_splits(mesh: PartitionedMesh, sub: np.ndarray, rows: np.ndarray,
 
 
 def build_cache(mesh: PartitionedMesh) -> MeshCache:
-    """Everything about `mesh` that no Lamé vector changes: the stiffness
-    summed per node pair and subdomain (`backend.stiffness_blocks`, which
-    raises ValueError on a tet of volume <= 1e-14); from those sums the
-    subdomain splits and the node graph's nested-dissection order and
-    `FrontPlan`; and the Sigma Gram matrix and its whitening factor."""
+    """Everything about `mesh` that no Lamé vector changes, each kept once:
+    the lambda-stiffness summed per node pair and subdomain
+    (`backend.stiffness_blocks`, which raises ValueError on a tet of volume
+    <= 1e-14); from those sums the subdomain lambda splits and the node
+    graph's nested-dissection order and `FrontPlan`; and the scalar Sigma
+    Gram matrix and its whitening factor."""
     sets = mesh.node_sets()
     interior, sigma, zero = sets["interior"], sets["sigma"], sets["zero"]
 
-    vol, grads, sub, rows, cols, lam, mu = backend.stiffness_blocks(mesh)
+    vol, grads, sub, rows, cols, lam = backend.stiffness_blocks(mesh)
     a_lam = _csr_splits(mesh, sub, rows, cols, lam)
-    a_mu = _csr_splits(mesh, sub, rows, cols, mu)
 
-    free_nodes, fronts = _front_plan(mesh, interior, sigma, sub, rows, cols, lam, mu)
-    del sub, rows, cols, lam, mu  # freed before the Gram, which the cache keeps
+    free_nodes, fronts = _front_plan(mesh, interior, sigma, sub, rows, cols, lam)
+    del sub, rows, cols, lam  # freed before the Gram, which the cache keeps
     boundary = np.sort(np.concatenate([sigma, zero]))
     gram, whitening = _sigma_gram(mesh, sigma)
     return MeshCache(
-        mesh=mesh, vol=vol, grads=grads, a_lam=a_lam, a_mu=a_mu,
+        mesh=mesh, vol=vol, grads=grads, a_lam=a_lam,
         interior_dofs=_node_dofs(interior), sigma_dofs=_node_dofs(sigma),
         boundary_dofs=_node_dofs(boundary),
-        gram_half=gram, whitening=whitening,
+        gram=gram, whitening=whitening,
         dn_order=_node_dofs(free_nodes), fronts=fronts,
     )
 
@@ -391,9 +429,8 @@ def _surface_p1(mesh: PartitionedMesh, faces: np.ndarray):
 
 
 def _sigma_gram(mesh: PartitionedMesh, sigma_nodes: np.ndarray):
-    """The discrete H^{1/2}(Sigma) Gram on the Sigma trace dofs and a factor
-    that whitens it: G (x) I3 and C (x) I3, with G the scalar Gram on the
-    Sigma trace nodes and C C^T = G^{-1}.
+    """The discrete H^{1/2}(Sigma) Gram G on the Sigma trace nodes and a
+    factor C that whitens it, C C^T = G^{-1}, both scalar (node-level).
 
     G = M # (M + r0^2 S) = M^{1/2} (M^{-1/2} (M + r0^2 S) M^{-1/2})^{1/2} M^{1/2},
     the geometric mean of M and M + r0^2 S, with M, S the surface P1
@@ -412,9 +449,7 @@ def _sigma_gram(mesh: PartitionedMesh, sigma_nodes: np.ndarray):
         raise ValueError("surface mass matrix not positive definite") from exc
     mv = m @ v
     g = (mv * np.sqrt(theta)) @ mv.T
-    # in C order: np.kron of a Fortran-ordered array allocates its result twice
-    c = np.ascontiguousarray(v * theta ** -0.25)
-    return np.kron(0.5 * (g + g.T), np.eye(3)), np.kron(c, np.eye(3))
+    return 0.5 * (g + g.T), v * theta ** -0.25
 
 
 # ---------------------------------------------------------------------------
@@ -530,13 +565,14 @@ class FemSystem:
 
     @cached_property
     def stiffness(self) -> sp.csr_matrix:
-        """K = sum_j lambda_j A_j^lam + 2 mu_j A_j^mu in natural dof order,
-        for the right-hand side of `solve_with_boundary_values`; the factor
-        is filled from the `FrontPlan` fill arrays, not from this matrix."""
+        """K = sum_j lambda_j A_j^lam + 2 mu_j A_j^mu in natural dof order
+        (A_j^mu from `_mu_split`), for the right-hand side of
+        `solve_with_boundary_values`; the factor is filled from the
+        `FrontPlan` fill arrays, not from this matrix."""
         cache, L = self.cache, self.L
         k = sp.csr_matrix((cache.num_dofs, cache.num_dofs))
-        for j in range(L.N):
-            k = k + L.lambdas[j] * cache.a_lam[j] + 2.0 * L.mus[j] * cache.a_mu[j]
+        for j, a_lam in enumerate(cache.a_lam):
+            k = k + L.lambdas[j] * a_lam + 2.0 * L.mus[j] * _mu_split(a_lam)
         return k
 
     @cached_property

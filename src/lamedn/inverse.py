@@ -3,9 +3,10 @@
 The forward map F sends a piecewise-constant Lamé vector to the discrete
 local DN matrix on Sigma.  Everything here works in the Gram-whitened
 geometry of the DN operator norm: matrices X are whitened once, to C^T X C
-with the cache's factor C (C C^T = G^{-1}, `_whitened`), and compared in
-spectral or Frobenius norm afterwards.  Those norms, eigenvalues and inner
-products depend on C only through C C^T, so any such factor gives them.
+with the cache's factor C (C C^T = G^{-1}, applied per displacement
+component: `_whitened`), and compared in spectral or Frobenius norm
+afterwards.  Those norms, eigenvalues and inner products depend on C only
+through C C^T, so any such factor gives them.
 """
 
 from __future__ import annotations
@@ -67,10 +68,21 @@ def forward(ctx: ForwardContext, L: LameVector) -> DnMatrix:
 
 
 def _whitened(ctx: ForwardContext, x) -> np.ndarray:
-    """C^T x C, with C the cache's whitening factor (C C^T = G^{-1}), for a
-    matrix x or for each matrix of a sequence x, stacked."""
+    """(C (x) I3)^T x (C (x) I3), with C the cache's node-level whitening
+    factor (C C^T = G^{-1}), for a matrix x on the Sigma trace dofs or for
+    each matrix of a sequence x, stacked.
+
+    The three dofs of a node are consecutive, so a matrix reshaped to
+    (s, 9 s) has one row per node of its rows, and C^T times it applies
+    (C (x) I3)^T from the left.  The same product on the transpose of that
+    result applies C (x) I3 from the right, and a last transpose restores
+    the orientation: two products with the s x s factor, no kron."""
     c = ctx.cache.whitening
-    return c.T @ np.asarray(x) @ c
+    x = np.asarray(x)
+    lead, n = x.shape[:-2], x.shape[-1]
+    for _ in range(2):
+        x = (c.T @ x.reshape(*lead, c.shape[0], -1)).reshape(*lead, n, n).swapaxes(-1, -2)
+    return x
 
 
 def star_norm(ctx: ForwardContext, delta: np.ndarray) -> float:

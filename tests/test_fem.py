@@ -336,6 +336,17 @@ def _coo_splits(cache):
     return splits
 
 
+def _traced_build_cache(mesh):
+    """build_cache(mesh) under tracemalloc: (cache, bytes it keeps, peak)."""
+    tracemalloc.start()
+    try:
+        cache = build_cache(mesh)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return cache, kept, peak
+
+
 class TestSetUp:
     def test_degenerate_tet_raises_before_dividing(self):
         mesh = build_layered_cube(1, 2)
@@ -350,15 +361,19 @@ class TestSetUp:
     def test_peak_memory_at_most_twice_the_cache(self):
         """Under tracemalloc, the peak while build_cache runs is at most
         twice the traced bytes that the returned cache holds."""
-        mesh = build_layered_cube(2, 12)
-        tracemalloc.start()
-        try:
-            cache = build_cache(mesh)
-            kept, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert cache.fronts.offset[-1] > 0
-        assert peak <= 2 * kept, (peak, kept)
+        for n in (12, 16):
+            cache, kept, peak = _traced_build_cache(build_layered_cube(2, n))
+            assert cache.fronts.offset[-1] > 0
+            assert peak <= 2 * kept, (n, peak, kept)
+
+    def test_cache_keeps_each_quantity_once(self):
+        """At N = 2, n = 12 the cache holds at most 8.5 MB (traced): no
+        mu-stiffness beside the lambda-stiffness it follows from, and the
+        Sigma Gram and its whitening factor at node size.  Keeping the mu
+        splits (3.3 MB), or the Gram and its factor at dof size (1.05 MB
+        each), takes it past 9.6 MB."""
+        _, kept, _ = _traced_build_cache(build_layered_cube(2, 12))
+        assert kept <= 8.5e6, kept
 
 
 class TestSplits:
@@ -369,10 +384,20 @@ class TestSplits:
     @pytest.mark.parametrize("spec", [(1, 3), (2, 4), (3, 6), (2, 12), "two-cubes"])
     def test_splits_match_coo_reference(self, spec):
         cache = build_cache(_mesh(spec))
-        for got, want in zip(cache.a_lam + cache.a_mu, _coo_splits(cache)):
+        a_mu = [fem._mu_split(a) for a in cache.a_lam]
+        for got, want in zip(cache.a_lam + a_mu, _coo_splits(cache)):
             assert np.array_equal(got.indptr, want.indptr)
             assert np.array_equal(got.indices, want.indices)
             assert np.abs(got.data - want.data).max() <= 1e-15 * np.abs(want.data).max()
+
+    def test_mu_split_commutes_with_node_restriction(self, cache_2x4):
+        """dn_blocks derives A_j^mu from the restricted A_j^lam; that equals,
+        bitwise and in CSR layout, the restriction of the full A_j^mu."""
+        for j, (idx, a_lam, a_mu) in enumerate(cache_2x4.dn_blocks):
+            free = cache_2x4.dn_order[idx]
+            want = fem._mu_split(cache_2x4.a_lam[j])[free][:, free]
+            for name in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(a_mu, name), getattr(want, name))
 
     def test_node_pair_blocks_match_dof_blocks(self):
         """On tets off the grid, where no gradient component vanishes: the
@@ -382,7 +407,8 @@ class TestSplits:
         rng = np.random.default_rng(5)
         mesh = dataclasses.replace(
             mesh, vertices=mesh.vertices + 0.02 * rng.standard_normal(mesh.vertices.shape))
-        vol, grads, sub, rows, cols, a_lam, a_mu = backend.stiffness_blocks(mesh)
+        vol, grads, sub, rows, cols, a_lam = backend.stiffness_blocks(mesh)
+        a_mu = fem._mu_blocks(a_lam)
         coords = mesh.vertices[mesh.tets]
         inv = np.linalg.inv(coords[:, 1:] - coords[:, :1])
         assert np.abs(grads[:, 1:] - inv.transpose(0, 2, 1)).max() <= 1e-15 * np.abs(inv).max()
@@ -414,7 +440,8 @@ class TestDnPartials:
         k = sys.stiffness.toarray()
         s_idx, i_idx = cache.sigma_dofs, cache.interior_dofs
         x = np.linalg.solve(k[np.ix_(i_idx, i_idx)], k[np.ix_(i_idx, s_idx)])
-        dks = [a.toarray() for a in cache.a_lam] + [2.0 * a.toarray() for a in cache.a_mu]
+        dks = ([a.toarray() for a in cache.a_lam]
+               + [2.0 * fem._mu_split(a).toarray() for a in cache.a_lam])
         got = dn_partials(sys)
         assert len(got) == 2 * L.N
         for jp, dk in zip(got, dks):

@@ -87,14 +87,40 @@ class TestContext:
         assert ctx.box == DEFAULT_BOX
 
     def test_whitening_inverts_gram(self, ctx_2x4, ctx_2x8):
-        # C^T G C = I and C C^T = G^{-1}, for the factor and through `_whitened`
+        # C^T G C = I and C C^T = G^{-1} for the node-level factor, and
+        # through `_whitened` on the vector Gram G (x) I3
         for ctx in (ctx_2x4, ctx_2x8):
-            g, c = ctx.cache.gram_half, ctx.cache.whitening
-            eye = np.eye(g.shape[0])
-            assert np.abs(c.T @ g @ c - eye).max() <= 1e-13
-            assert np.array_equal(_whitened(ctx, g), c.T @ g @ c)
+            g, c = ctx.cache.gram, ctx.cache.whitening
+            assert np.abs(c.T @ g @ c - np.eye(g.shape[0])).max() <= 1e-13
+            white = _whitened(ctx, ctx.cache.gram_half)
+            assert np.abs(white - np.eye(white.shape[0])).max() <= 1e-13
             g_inv = np.linalg.inv(g)
             assert np.abs(c @ c.T - g_inv).max() <= 1e-13 * np.abs(g_inv).max()
+
+    def test_whitened_matches_dense_reference(self, ctx_2x4, ctx_2x8, rng):
+        """The per-node whitening against kron(C, I3)^T X kron(C, I3), on a
+        nonsymmetric matrix and on the (2N, n, n) stack of partials."""
+        for ctx in (ctx_2x4, ctx_2x8):
+            k = np.kron(ctx.cache.whitening, np.eye(3))
+            n = k.shape[0]
+            for x in (rng.standard_normal((n, n)),
+                      np.array(frechet_derivative(ctx, L2).mats)):
+                want = k.T @ x @ k
+                got = _whitened(ctx, x)
+                assert got.shape == want.shape
+                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+            assert np.array_equal(_whitened(ctx, list(x)), got)
+
+    def test_gram_half_is_node_gram_times_identity(self, ctx_2x4, ctx_2x8):
+        for ctx in (ctx_2x4, ctx_2x8):
+            g = ctx.cache.gram
+            assert g.shape == ctx.cache.whitening.shape == (ctx.cache.sigma_dofs.size // 3,) * 2
+            assert np.array_equal(ctx.cache.gram_half, np.kron(g, np.eye(3)))
+
+    def test_gram_hash_pinned(self):
+        # reports name the Gram by this hash: pinned, so that how the cache
+        # stores the Gram cannot change the hash of reports
+        assert build_context(build_layered_cube(3, 6)).gram_hash() == "d5b2a4b56ef9c9ff"
 
     def test_indefinite_mass_rejected(self, mesh_1x4, monkeypatch):
         surface_p1 = fem._surface_p1
@@ -315,7 +341,7 @@ class TestQ0Pruning:
         scale = sum(np.linalg.norm(m, 2) for m in mats)
         monkeypatch.setattr(inverse, "frechet_derivative",
                             lambda ctx, L: SimpleNamespace(mats=mats))
-        ctx = ForwardContext(cache=SimpleNamespace(whitening=np.eye(12)))
+        ctx = ForwardContext(cache=SimpleNamespace(whitening=np.eye(4)))
         assert 0.0 <= q0_estimate(ctx, [None]) <= 1e-12 * scale
 
     def test_separated_faces_are_skipped(self, ctx_2x4, monkeypatch):
