@@ -17,6 +17,7 @@ for integrating non-polynomial fields (H^1 errors against closed forms).
 
 from __future__ import annotations
 
+import importlib
 import json
 import warnings
 from dataclasses import dataclass
@@ -24,8 +25,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-# Unused here; the benchmark's tracer (perfbench/spans.py) patches `fem.spla`.
-import scipy.sparse.linalg as spla  # noqa: F401
 from scipy.linalg import blas, eigh, lapack
 
 from . import backend
@@ -54,6 +53,16 @@ __all__ = [
 
 # Reports name the Sigma Gram construction (`_sigma_gram`) by this label.
 GRAM_LABEL = "spectral-half"
+
+
+def __getattr__(name):
+    # `fem.spla` is scipy.sparse.linalg, loaded on first read (PEP 562).  The
+    # package never calls it; the benchmark's tracer (perfbench/spans.py)
+    # reads and patches it.  An eager import would add about 2 MB to the
+    # resident memory of every process.
+    if name == "spla":
+        return importlib.import_module("scipy.sparse.linalg")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .core import DEFAULT_BOX, AdmissibleBox, LameVector
 from .fem import DnMatrix, MeshCache, assemble, build_cache, dn_matrix, dn_partials
@@ -539,18 +540,52 @@ class ReconstructTrace(list):
     rejected: int = 0
 
 
+def _damped_steps(a, r):
+    """The Levenberg steps for the residual r with Jacobian a: a function of
+    the damping m >= 0 that returns argmin ||a delta + r||^2 + m ||delta||^2,
+    or None where that is not unique (m = 0 and a rank-deficient).
+
+    One Householder QR of [a | r] gives R.  Its leading n x n block R_a is
+    the R factor of a (n = a.shape[1]), and the first n entries of its last
+    column are Q^T r.  With the SVD R_a = U diag(s) V^T,
+    delta = -V diag(s / (s^2 + m)) U^T Q^T r for every m.  Unlike the normal
+    equations (a^T a + m I) delta = -a^T r, this does not square the
+    condition number of a.
+    """
+    n = a.shape[1]
+    ar = np.empty((n + 1, a.shape[0]))
+    ar[:n] = a.T
+    ar[n] = r
+    # LAPACK in place on [a | r], Fortran-ordered as ar.T: numpy.linalg.qr
+    # copies it first, and took 0.70 ms against 0.13 ms at the benchmark's
+    # 5625 x 7 (one BLAS thread, 2-core VM)
+    qr = lapack.dgeqrf(ar.T, overwrite_a=1)[0]
+    u, s, vt = np.linalg.svd(np.triu(qr[:n, :n]), full_matrices=False)
+    b = s * (u.T @ qr[:n, n])
+
+    def step(m):
+        den = s * s + m
+        if not den.all():
+            return None
+        return -(vt.T @ (b / den))
+
+    return step
+
+
 def reconstruct(ctx: ForwardContext, Lambda_obs, L_init: LameVector, opts: dict = None):
     """Projected Gauss-Newton on the whitened residual
     r(L) = vec(C^T (F(L) - Lambda_obs) C), C C^T = G^{-1} (`_whitened`).
 
-    Levenberg damping scaled to the residual: the step solves
-    (A^T A + c ||r_k|| I) delta = -A^T r_k, with c = 1e-6 at the start, x10
+    Levenberg damping scaled to the residual: the step minimises
+    ||A delta + r_k||^2 + c ||r_k|| ||delta||^2 (`_damped_steps`, from a QR
+    of [A | r_k], without forming A^T A), with c = 1e-6 at the start, x10
     after a rejected candidate and /3 (down to 1e-14) after an accepted one,
     so the damping vanishes with the residual and exact data converge
-    quadratically (Yamashita & Fukushima 2001).  Every candidate is the
-    Euclidean projection of the step onto the admissible set, and is
-    accepted when it lowers ||r||.  The iteration stops, and the trace's
-    `stop_reason` says why, with
+    quadratically (Yamashita & Fukushima 2001).  A singular A with no damping
+    (r_k = 0) has no unique step; c is then raised as after a rejection.
+    Every candidate is the Euclidean projection of the step onto the
+    admissible set, and is accepted when it lowers ||r||.  The iteration
+    stops, and the trace's `stop_reason` says why, with
       - "step_tol": a candidate lies within tol (default 1e-10, sup-norm) of
         the last accepted iterate; it is not evaluated, and that iterate is
         returned;
@@ -581,13 +616,11 @@ def reconstruct(ctx: ForwardContext, Lambda_obs, L_init: LameVector, opts: dict 
     for k in range(1, max_iters + 1):
         a = _whitened(ctx, dn_partials(sys)).reshape(cur.size, -1).T
         sys = None  # free this factor before a candidate's is built
-        ata = a.T @ a
-        atr = a.T @ r
+        step = _damped_steps(a, r)
         r_norm = np.linalg.norm(r)
         while c <= 1e14:
-            try:
-                delta = np.linalg.solve(ata + c * r_norm * np.eye(ata.shape[0]), -atr)
-            except np.linalg.LinAlgError:
+            delta = step(c * r_norm)
+            if delta is None:
                 c *= 10.0
                 continue
             cand = _project_feasible(ctx, cur + delta)

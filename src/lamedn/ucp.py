@@ -125,19 +125,27 @@ def kelvin_ensemble(count, center=(0.0, 0.0, 0.0), radius=1.0, seed=0,
     directions (restricted to the upper axis cap when source_cap=(axis_dim,
     min_cos) is given); directions of the columns are random unit vectors.
     Every member has the moduli mu = 1, nu = 0.3.
+
+    The ensemble is drawn in three batched Generator calls, in this order:
+    `count` source directions, `count` distances, `count` column directions;
+    member i takes row i of each.  With source_cap the directions that meet
+    the cap are kept in draw order, and further batches of `count` are drawn
+    before the distances until `count` are kept.
     """
     rng = np.random.default_rng(seed)
     center = np.asarray(center, dtype=float)
-    members = []
-    for i in range(count):
-        while True:
-            d = _unit_vectors(rng, 1)[0]
-            if source_cap is None or d[source_cap[0]] >= source_cap[1]:
-                break
-        dist = rng.uniform(1.5, 4.0) * radius
-        members.append(SolutionMember(
-            kind="kelvin", index=i, source=center + dist * d,
-            direction=_unit_vectors(rng, 1)[0]))
+    dirs = _unit_vectors(rng, count)
+    if source_cap is not None:
+        axis, min_cos = source_cap
+        kept = [dirs[dirs[:, axis] >= min_cos]]
+        while sum(map(len, kept)) < count:
+            dirs = _unit_vectors(rng, count)
+            kept.append(dirs[dirs[:, axis] >= min_cos])
+        dirs = np.concatenate(kept)[:count]
+    sources = center + (rng.uniform(1.5, 4.0, count) * radius)[:, None] * dirs
+    columns = _unit_vectors(rng, count)
+    members = [SolutionMember(kind="kelvin", index=i, source=s, direction=e)
+               for i, (s, e) in enumerate(zip(sources, columns))]
     return SolutionEnsemble(members, center)
 
 

@@ -13,6 +13,7 @@ from lamedn.core import DEFAULT_BOX, AdmissibleBox, LameVector, check_admissible
 from lamedn.geometry import TAG_SIGMA, build_layered_cube
 from lamedn.inverse import (
     ForwardContext,
+    _damped_steps,
     _face_bounds,
     _face_min,
     _project_box,
@@ -561,6 +562,46 @@ class TestProjection:
         gap = np.einsum("ni,nqi->nq", x.T - lam_mu, corners[None] - lam_mu[:, None])
         assert gap.max() <= 1e-12
         assert np.array_equal(_project_feasible(ctx, out), out)
+
+
+class TestDampedStep:
+    @staticmethod
+    def _stacked(a, r, m):
+        """The damped step as the least-squares solution of [a; sqrt(m) I]."""
+        n = a.shape[1]
+        return np.linalg.lstsq(np.vstack([a, np.sqrt(m) * np.eye(n)]),
+                               -np.concatenate([r, np.zeros(n)]), rcond=None)[0]
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("resid", [0.0, 1e-3, 1.0])
+    def test_matches_stacked_least_squares(self, seed, resid):
+        # cond(a) = 1e6 and reconstruct's first damping 1e-6 ||r||: the
+        # normal equations agree with the stacked solve only to 1.5e-12 -
+        # 5.9e-10 on these cases, this step to 2.2e-13.
+        c = 1e-6
+        rng = np.random.default_rng(seed)
+        u, _ = np.linalg.qr(rng.standard_normal((300, 6)))
+        v, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        a = (u * np.geomspace(1.0, 1e-6, 6)) @ v.T
+        assert np.linalg.cond(a) >= 1e6 * (1.0 - 1e-6)
+        r = a @ rng.standard_normal(6) + resid * rng.standard_normal(300)
+        m = c * np.linalg.norm(r)
+        want = self._stacked(a, r, m)
+        got = _damped_steps(a, r)(m)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_singular_without_damping(self):
+        # a rank-deficient a has no unique undamped step; a damped one is
+        # the minimum-norm stacked solution
+        a = np.zeros((10, 3))
+        a[0, 0], a[1, 1] = 1.0, 2.0
+        r = np.random.default_rng(3).standard_normal(10)
+        step = _damped_steps(a, r)
+        assert step(0.0) is None
+        got = step(1e-3)
+        want = self._stacked(a, r, 1e-3)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        assert got[2] == 0.0
 
 
 class TestReconstruct:

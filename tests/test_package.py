@@ -39,12 +39,16 @@ def test_benchmark_targets_resolve():
 def test_package_loads_no_scipy_optimize_or_special():
     # The package computes with scipy.linalg and scipy.sparse alone: every
     # module, the benchmark's workloads and tracer, a three-sphere fit and a
-    # tet rule load neither subpackage, each of which costs MB of resident
-    # memory in every process.
+    # tet rule load none of scipy.optimize, scipy.special and
+    # scipy.sparse.linalg, each of which costs MB of resident memory in every
+    # process.  `fem.spla` still resolves, loading scipy.sparse.linalg on
+    # first read.
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), str(ROOT / "perfbench"),
                                          os.environ.get("PYTHONPATH")]))
     code = textwrap.dedent("""
         import importlib, pkgutil, sys
+        import lamedn.fem
+        assert "scipy.sparse.linalg" not in sys.modules
         import lamedn
         for info in pkgutil.iter_modules(lamedn.__path__):
             importlib.import_module(f"lamedn.{info.name}")
@@ -53,7 +57,10 @@ def test_package_loads_no_scipy_optimize_or_special():
         from lamedn.ucp import linear_ensemble, three_sphere_fit
         three_sphere_fit(linear_ensemble(2, seed=0), 0.25, 0.5, 1.0)
         tet_quadrature(4)
-        print(*sorted({"scipy.optimize", "scipy.special"} & set(sys.modules)))
+        print(*sorted({"scipy.optimize", "scipy.special", "scipy.sparse.linalg"}
+                      & set(sys.modules)))
+        assert callable(lamedn.fem.spla.splu)
+        assert "scipy.sparse.linalg" in sys.modules
         """)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=path))

@@ -69,18 +69,46 @@ class TestEnsembles:
             assert np.linalg.norm(m.source - ens.center) >= 1.5 * radius
             m.check_ball(ens.center, radius)  # must not raise
 
+    @staticmethod
+    def _unit(rng, count):
+        v = rng.normal(size=(count, 3))
+        return v / np.linalg.norm(v, axis=1, keepdims=True)
+
     def test_kelvin_seed_reproducible(self):
-        a = kelvin_ensemble(5, seed=11)
-        b = kelvin_ensemble(5, seed=11)
-        for ma, mb in zip(a, b):
-            assert np.array_equal(ma.source, mb.source)
-            assert np.array_equal(ma.direction, mb.direction)
+        # The seeded stream is three batched draws: source directions,
+        # distances, column directions.
+        rng = np.random.default_rng(11)
+        dirs = self._unit(rng, 5)
+        dist = rng.uniform(1.5, 4.0, 5)
+        cols = self._unit(rng, 5)
+        for ens in (kelvin_ensemble(5, seed=11), kelvin_ensemble(5, seed=11)):
+            assert [m.index for m in ens] == list(range(5))
+            assert np.array_equal([m.source for m in ens], dist[:, None] * dirs)
+            assert np.array_equal([m.direction for m in ens], cols)
 
     def test_kelvin_source_cap(self):
         ens = kelvin_ensemble(20, seed=5, source_cap=(2, 0.9))
         for m in ens:
             d = m.source - ens.center
             assert d[2] / np.linalg.norm(d) >= 0.9
+
+    def test_kelvin_source_cap_keeps_draw_order(self):
+        # About 5 % of directions meet the cap, so the 20 kept ones come from
+        # several batches of 20; they stay in draw order, and the distances
+        # and column directions are drawn after the last batch.
+        rng = np.random.default_rng(5)
+        kept, batches = [], 0
+        while len(kept) < 20:
+            dirs = self._unit(rng, 20)
+            kept.extend(dirs[dirs[:, 2] >= 0.9])
+            batches += 1
+        assert batches > 1
+        center = np.array([0.0, 0.0, -1.0])
+        sources = center + (rng.uniform(1.5, 4.0, 20) * 2.0)[:, None] * np.array(kept[:20])
+        cols = self._unit(rng, 20)
+        ens = kelvin_ensemble(20, center=center, radius=2.0, seed=5, source_cap=(2, 0.9))
+        assert np.array_equal([m.source for m in ens], sources)
+        assert np.array_equal([m.direction for m in ens], cols)
 
     def test_member_batch_matches_single(self):
         m = kelvin_ensemble(1, seed=9).members[0]
